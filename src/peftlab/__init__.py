@@ -28,7 +28,7 @@ from .fisher import (STRATEGIES, FisherEstimate, SparsityMask, budget_to_k,
 from .model import Batch, ModelConfig, TransformerModel, build_model, forward
 from .optim import (EpochRecord, OptimizerState, TrainConfig, TrainReport,
                     compute_ratios, evaluate, train)
-from .peft import PeftConfig, PeftModule, ThetaTilde, attach, theta_tilde
+from .peft import PeftConfig, PeftModule, ThetaTilde, attach
 from .tasks import TASK_KINDS, generate_task
 from .tensor import Tensor, backward, finite_diff_grad, grad_close, no_grad
 
@@ -42,10 +42,10 @@ __all__ = [
     "PeftConfig", "PeftLabError", "PeftModule", "STRATEGIES", "ShapeError",
     "SparsityMask", "TASK_KINDS", "TaskConfig", "Tensor", "ThetaTilde",
     "TrainConfig", "TrainReport", "TransformerModel", "attach",
-    "backward", "budget_to_k", "compare_strategies", "compute_ratios",
-    "config_hash", "estimate_fisher", "evaluate", "finite_diff_grad",
-    "forward", "from_dict", "from_json", "generate_task", "grad_close",
-    "load_checkpoint", "load_mask", "load_scores", "mask_gradients",
-    "no_grad", "run_experiment", "save_checkpoint", "save_mask",
-    "save_scores", "select", "theta_tilde", "to_dict", "to_json", "train",
+    "backward", "budget_to_k", "build_model", "compare_strategies",
+    "compute_ratios", "config_hash", "estimate_fisher", "evaluate",
+    "finite_diff_grad", "forward", "from_dict", "from_json", "generate_task",
+    "grad_close", "load_checkpoint", "load_mask", "load_scores",
+    "mask_gradients", "no_grad", "run_experiment", "save_checkpoint",
+    "save_mask", "save_scores", "select", "to_dict", "to_json", "train",
 ]

@@ -4,8 +4,8 @@ Layout:  magic 'PLCK' | u32 format version | u64 manifest length | manifest
 JSON (utf-8) | tensor payloads at the offsets the manifest declares | mask
 bits (u8), if any. The manifest carries the full experiment config, so a
 checkpoint alone is enough to rebuild the model, re-attach the adapters, and
-restore every tensor bit for bit. All writes go through a temp file and an
-atomic rename.
+restore every tensor bit for bit. All writes go through a temp file that
+is fsynced, then an atomic rename, then an fsync of the directory.
 """
 
 from __future__ import annotations
@@ -27,22 +27,32 @@ from .peft import PeftModule, attach
 _MAGIC = b"PLCK"
 FORMAT_VERSION = 1
 _PREAMBLE = struct.Struct("<4sIQ")
+_TENSOR_FIELDS = ("name", "shape", "offset", "nbytes")
+_MASK_FIELDS = ("strategy", "k", "seed", "offset", "nbytes")
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
     """Write via a sibling temp file and rename, so readers never see a
-    partial file."""
+    partial file. The file is fsynced before the rename and its directory
+    after it, so a completed write survives a crash."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    dir_fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -98,6 +108,14 @@ def save_checkpoint(path, cfg: config_mod.ExperimentConfig,
                        + body + b"".join(blocks))
 
 
+def _require(record, fields: tuple[str, ...], what: str, path) -> None:
+    if not isinstance(record, dict):
+        raise CheckpointError(f"{path}: {what} is not a JSON object")
+    for name in fields:
+        if name not in record:
+            raise CheckpointError(f"{path}: {what} lacks field '{name}'")
+
+
 def load_checkpoint(path) -> CheckpointState:
     """Rebuild the experiment state a checkpoint describes.
 
@@ -122,6 +140,7 @@ def load_checkpoint(path) -> CheckpointState:
         manifest = json.loads(blob[_PREAMBLE.size:header_end])
     except json.JSONDecodeError as e:
         raise CheckpointError(f"{path}: manifest is not valid JSON: {e}") from e
+    _require(manifest, ("config", "config_hash", "tensors"), "manifest", path)
     if manifest.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(f"{path}: manifest version mismatch")
 
@@ -132,6 +151,7 @@ def load_checkpoint(path) -> CheckpointState:
 
     restored: dict[str, np.ndarray] = {}
     for entry in manifest["tensors"]:
+        _require(entry, _TENSOR_FIELDS, "tensor entry", path)
         name = entry["name"]
         start, nbytes = entry["offset"], entry["nbytes"]
         if start + nbytes > len(payload):
@@ -163,6 +183,7 @@ def load_checkpoint(path) -> CheckpointState:
     mask = None
     info = manifest.get("mask")
     if info is not None:
+        _require(info, _MASK_FIELDS, "mask record", path)
         start, nbytes = info["offset"], info["nbytes"]
         if start + nbytes > len(payload):
             raise CheckpointError(f"{path}: mask bits missing or truncated")

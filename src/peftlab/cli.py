@@ -16,18 +16,15 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import config as config_mod
 from .checkpoint import atomic_write_text, load_checkpoint
 from .config import ExperimentConfig
 from .errors import ConfigError, PeftLabError
-from .experiment import (_make_task, _rebind_seed, compare_strategies,
-                         report_to_dict, run_experiment)
-from .fisher import budget_to_k, estimate_fisher, save_mask, save_scores, select
-from .model import build_model
+from .experiment import (_SCORED, _make_task, _rebind_seed, _select_mask,
+                         _setup, compare_strategies, run_experiment)
+from .fisher import save_mask, save_scores
 from .optim import evaluate
-from .peft import attach
+from .tasks import flatten
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -167,30 +164,19 @@ def _cmd_gen_data(cfg: ExperimentConfig) -> int:
     train_b, eval_b = _make_task(cfg)
     lines = []
     for split, batches in (("train", train_b), ("eval", eval_b)):
-        for batch in batches:
-            for row, label in zip(batch.token_ids, batch.labels):
-                lines.append(json.dumps({"tokens": [int(t) for t in row],
-                                         "label": int(label),
-                                         "split": split}))
+        rows, labels = flatten(batches)
+        for row, label in zip(rows, labels):
+            lines.append(json.dumps({"tokens": [int(t) for t in row],
+                                     "label": int(label), "split": split}))
     path = os.path.join(out, "dataset.jsonl")
     atomic_write_text(path, "\n".join(lines) + "\n")
     print(f"wrote {len(lines)} examples to {path}")
     return 0
 
 
-def _estimate(cfg: ExperimentConfig):
-    model = build_model(cfg.model)
-    task = _make_task(cfg)
-    module = attach(model, cfg.peft)
-    estimate = estimate_fisher(model, task[0],
-                               num_samples=cfg.mask.fisher_samples,
-                               config_hash=config_mod.config_hash(cfg))
-    return model, module, estimate
-
-
 def _cmd_fisher(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
-    _, module, estimate = _estimate(cfg)
+    estimate = _setup(cfg, True)[3]
     path = os.path.join(out, "scores.bin")
     save_scores(path, estimate)
     print(f"wrote {len(estimate)} scores ({estimate.num_samples} samples) "
@@ -200,22 +186,14 @@ def _cmd_fisher(cfg: ExperimentConfig) -> int:
 
 def _cmd_mask(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
-    strategy = cfg.mask.strategy
-    if strategy in ("fish", "reverse"):
-        _, module, estimate = _estimate(cfg)
+    _, _, module, estimate = _setup(cfg, cfg.mask.strategy in _SCORED)
+    if estimate is not None:
         save_scores(os.path.join(out, "scores.bin"), estimate)
-        source = estimate
-        n = len(estimate)
-    else:
-        model = build_model(cfg.model)
-        module = attach(model, cfg.peft)
-        n = module.theta_tilde().length
-        source = np.zeros(n, dtype=np.float32)
-    k = budget_to_k(n, cfg.mask.budget)
-    mask = select(source, k, strategy, seed=cfg.mask.seed)
+    n = module.theta_tilde().length
+    mask = _select_mask(cfg, n, estimate)
     path = os.path.join(out, "mask.bin")
     save_mask(path, mask)
-    print(f"wrote {strategy} mask (k={mask.k} of {n}) to {path}")
+    print(f"wrote {mask.strategy} mask (k={mask.k} of {n}) to {path}")
     return 0
 
 

@@ -31,6 +31,9 @@ from .optim import TrainReport, train
 from .peft import attach
 from .tasks import generate_task
 
+# strategies whose mask reads the score estimate
+_SCORED = ("fish", "reverse")
+
 
 @contextmanager
 def _stage(name: str):
@@ -94,37 +97,58 @@ def metrics_lines(report: TrainReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run(cfg: ExperimentConfig, shared_scores: FisherEstimate | None = None):
-    chash = config_mod.config_hash(cfg)
-
+def _setup(cfg: ExperimentConfig, score: bool):
+    """Config to (model, task, module, estimate): build the model, draw the
+    task, attach adapters and, when ``score`` is set, estimate scores on the
+    train split. ``estimate`` is None when not scored."""
     with _stage("build-model"):
         model = build_model(cfg.model)
     with _stage("generate-task"):
         task = _make_task(cfg)
     with _stage("attach"):
         module = attach(model, cfg.peft)
-    theta_len = module.theta_tilde().length
-
     estimate = None
-    strategy = cfg.mask.strategy
-    if strategy in ("fish", "reverse"):
+    if score:
         with _stage("estimate-scores"):
-            if shared_scores is not None:
-                if len(shared_scores) != theta_len:
-                    raise ContractError(
-                        f"shared scores have length {len(shared_scores)}, "
-                        f"flat view has {theta_len}")
-                estimate = shared_scores
-            else:
-                estimate = estimate_fisher(model, task[0],
-                                           num_samples=cfg.mask.fisher_samples,
-                                           config_hash=chash)
+            estimate = estimate_fisher(model, task[0],
+                                       num_samples=cfg.mask.fisher_samples,
+                                       config_hash=config_mod.config_hash(cfg))
+    return model, task, module, estimate
 
+
+def _select_mask(cfg: ExperimentConfig, theta_len: int,
+                 estimate: FisherEstimate | None) -> SparsityMask:
+    """Scores to mask: cfg's strategy at its budget over the flat view."""
     with _stage("select-mask"):
         k = budget_to_k(theta_len, cfg.mask.budget)
         source = estimate if estimate is not None \
             else np.zeros(theta_len, dtype=np.float32)
-        mask = select(source, k, strategy, seed=cfg.mask.seed)
+        return select(source, k, cfg.mask.strategy, seed=cfg.mask.seed)
+
+
+def run_experiment(cfg: ExperimentConfig,
+                   shared_scores: FisherEstimate | None = None) -> TrainReport:
+    """Run the full pipeline for one configuration.
+
+    When ``cfg.out_dir`` is set, the run leaves behind config.json,
+    report.json, metrics.jsonl, mask.bin, checkpoint.bin, and (when scores
+    were estimated) scores.bin. ``shared_scores`` substitutes a precomputed
+    estimate so sweeps can reuse one estimate across strategies.
+    """
+    chash = config_mod.config_hash(cfg)
+    scored = cfg.mask.strategy in _SCORED
+    model, task, module, estimate = _setup(
+        cfg, scored and shared_scores is None)
+    theta_len = module.theta_tilde().length
+    if scored and shared_scores is not None:
+        with _stage("estimate-scores"):
+            if len(shared_scores) != theta_len:
+                raise ContractError(
+                    f"shared scores have length {len(shared_scores)}, "
+                    f"flat view has {theta_len}")
+        estimate = shared_scores
+
+    mask = _select_mask(cfg, theta_len, estimate)
 
     with _stage("train"):
         report = train(model, module, mask, task, cfg.train,
@@ -147,19 +171,6 @@ def _run(cfg: ExperimentConfig, shared_scores: FisherEstimate | None = None):
             save_checkpoint(os.path.join(out, "checkpoint.bin"), cfg, model,
                             module, mask)
 
-    return report, model, module, mask, estimate
-
-
-def run_experiment(cfg: ExperimentConfig,
-                   shared_scores: FisherEstimate | None = None) -> TrainReport:
-    """Run the full pipeline for one configuration.
-
-    When ``cfg.out_dir`` is set, the run leaves behind config.json,
-    report.json, metrics.jsonl, mask.bin, checkpoint.bin, and (when scores
-    were estimated) scores.bin. ``shared_scores`` substitutes a precomputed
-    estimate so sweeps can reuse one estimate across strategies.
-    """
-    report, *_ = _run(cfg, shared_scores)
     return report
 
 
@@ -241,14 +252,7 @@ def compare_strategies(cfg: ExperimentConfig, strategies, budgets,
 
     def scores_for(seed: int) -> FisherEstimate:
         if seed not in score_cache:
-            base = _rebind_seed(cfg, seed)
-            with _stage("estimate-scores"):
-                model = build_model(base.model)
-                task = _make_task(base)
-                attach(model, base.peft)
-                score_cache[seed] = estimate_fisher(
-                    model, task[0], num_samples=base.mask.fisher_samples,
-                    config_hash=config_mod.config_hash(base))
+            score_cache[seed] = _setup(_rebind_seed(cfg, seed), True)[3]
         return score_cache[seed]
 
     cells = []
@@ -266,7 +270,7 @@ def compare_strategies(cfg: ExperimentConfig, strategies, budgets,
                                               f"{strategy}-{budget:g}-{seed}")
                                  if cfg.out_dir is not None else None))
                     shared = scores_for(seed) \
-                        if strategy in ("fish", "reverse") else None
+                        if strategy in _SCORED else None
                     report = run_experiment(run_cfg, shared)
                     accs.append(report.final_eval_accuracy)
                 except PeftLabError as e:

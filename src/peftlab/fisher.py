@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import CheckpointError, ConfigError, ContractError, NumericError
 from . import tensor as T
+from .tasks import flatten
 
 STRATEGIES = ("fish", "random", "reverse", "dense")
 
@@ -87,39 +88,33 @@ class SparsityMask:
         return np.flatnonzero(self.bits)
 
 
-def _flatten_samples(dataset) -> list[tuple[np.ndarray, int]]:
-    examples = []
-    for batch in dataset:
-        for row, label in zip(batch.token_ids, batch.labels):
-            examples.append((np.asarray(row), int(label)))
-    return examples
-
-
 def estimate_fisher(model, dataset, num_samples: int = 128,
                     config_hash: str = "") -> FisherEstimate:
     """Mean squared per-example gradient over the model's flat adapter view.
 
     ``model`` needs two methods: ``fisher_parameters()`` returning the flat
     view, and ``example_nll(token_row, label)`` returning a scalar loss.
-    ``dataset`` is an iterable of batches carrying true labels; examples are
+    ``dataset`` is a list of batches carrying true labels; examples are
     re-sorted canonically (by token bytes, then label) before the first
     ``num_samples`` are consumed, so any batching of the same example set
     yields the identical estimate.
     """
     if num_samples < 1:
         raise ConfigError(f"num_samples must be >= 1, got {num_samples}")
-    examples = _flatten_samples(dataset)
-    if num_samples > len(examples):
+    if not dataset:
+        raise ContractError("score estimate over an empty dataset")
+    rows, labels = flatten(dataset)
+    if num_samples > len(labels):
         raise ConfigError(f"num_samples {num_samples} exceeds the "
-                          f"{len(examples)} available examples")
-    examples.sort(key=lambda e: (e[0].tobytes(), e[1]))
-    examples = examples[:num_samples]
+                          f"{len(labels)} available examples")
+    order = sorted(range(len(labels)),
+                   key=lambda j: (rows[j].tobytes(), int(labels[j])))
 
     theta = model.fisher_parameters()
     acc = np.zeros(theta.length, dtype=np.float64)
-    for i, (row, label) in enumerate(examples):
+    for i, j in enumerate(order[:num_samples]):
         theta.zero_grads()
-        loss = model.example_nll(row, label)
+        loss = model.example_nll(rows[j], int(labels[j]))
         T.backward(loss)
         g = theta.grad_vector().astype(np.float64)
         if not np.all(np.isfinite(g)):
@@ -176,14 +171,8 @@ def mask_gradients(grads: np.ndarray, mask: SparsityMask) -> np.ndarray:
     return out
 
 
-def budget_to_k(theta_or_length, ratio2: float) -> int:
+def budget_to_k(n: int, ratio2: float) -> int:
     """Round ratio2 * n to the nearest count (half up), clamped to [1, n]."""
-    if hasattr(theta_or_length, "length"):
-        n = theta_or_length.length
-    elif hasattr(theta_or_length, "theta_tilde"):
-        n = theta_or_length.theta_tilde().length
-    else:
-        n = int(theta_or_length)
     if n < 1:
         raise ContractError("flat view must be non-empty")
     if not 0.0 < ratio2 <= 1.0:
@@ -193,7 +182,7 @@ def budget_to_k(theta_or_length, ratio2: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# persistence: one container for score and mask payloads, plus a text export
+# persistence: one container for score and mask payloads
 
 _HEADER = struct.Struct("<4sIBB12sQQq")  # magic, version, kind, pad, strategy,
                                          # length, k, seed
@@ -216,7 +205,11 @@ def _read_header(blob: bytes, path: str):
     if version != _FORMAT_VERSION:
         raise CheckpointError(f"{path}: format version {version} unsupported "
                               f"(expected {_FORMAT_VERSION})")
-    return kind, strategy.rstrip(b"\0").decode("ascii"), length, k, seed
+    try:
+        name = strategy.rstrip(b"\0").decode("ascii")
+    except UnicodeDecodeError:
+        raise CheckpointError(f"{path}: strategy field is not ASCII") from None
+    return kind, name, length, k, seed
 
 
 def save_scores(path, estimate: FisherEstimate) -> None:
@@ -263,17 +256,3 @@ def load_mask(path) -> SparsityMask:
         raise CheckpointError(f"{path}: popcount {mask.k} does not match "
                               f"header k={k}")
     return mask
-
-
-def export_text(path, mask: SparsityMask,
-                estimate: FisherEstimate | None = None) -> None:
-    """Line-per-coordinate dump: 'index score bit' (score 0 when absent)."""
-    from .checkpoint import atomic_write_bytes
-    if estimate is not None and len(estimate) != len(mask):
-        raise ContractError(f"scores length {len(estimate)} does not match "
-                            f"mask length {len(mask)}")
-    lines = []
-    for i, bit in enumerate(mask.bits):
-        score = float(estimate.scores[i]) if estimate is not None else 0.0
-        lines.append(f"{i} {score:.9g} {int(bit)}")
-    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))

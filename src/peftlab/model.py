@@ -183,10 +183,6 @@ class TransformerModel:
             t.requires_grad = False
             t.grad = None
 
-    def set_trainable(self, flag: bool) -> None:
-        for _, t in self.named_parameters():
-            t.requires_grad = flag
-
     def zero_grads(self) -> None:
         for _, t in self.named_parameters():
             t.grad = None

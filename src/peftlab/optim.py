@@ -21,6 +21,7 @@ from .errors import ConfigError, ContractError, NumericError
 from .fisher import SparsityMask, mask_gradients
 from .model import Batch, TransformerModel, forward
 from .peft import PeftModule, ThetaTilde
+from .tasks import flatten
 
 OPTIMIZERS = ("sgd", "adamw")
 
@@ -220,8 +221,7 @@ def train(model: TransformerModel, module: PeftModule,
     train_batches, eval_batches = task
     if not train_batches:
         raise ContractError("train on an empty dataset")
-    rows = np.concatenate([b.token_ids for b in train_batches], axis=0)
-    labels = np.concatenate([b.labels for b in train_batches], axis=0)
+    rows, labels = flatten(train_batches)
 
     theta = module.theta_tilde()
     head = ThetaTilde(model.head_parameters())

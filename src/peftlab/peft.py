@@ -531,9 +531,6 @@ class UniPeltModule(PeftModule):
         sub = self.submodules.get("adapter")
         return sub.after_ffn_proj(layer, h) if sub is not None else h
 
-    def ffn_inner(self, layer, h):
-        return h
-
     def prefix_kv(self, layer):
         sub = self.submodules.get("prefix")
         return sub.prefix_kv(layer) if sub is not None else None
@@ -552,48 +549,13 @@ _MODULE_CLASSES = {
 }
 
 
-def _attach(model: TransformerModel, cfg: PeftConfig, method: str) -> PeftModule:
-    if cfg.method != method:
-        raise ConfigError(f"config method '{cfg.method}' does not match "
-                          f"attach_{method}")
+def attach(model: TransformerModel, cfg: PeftConfig) -> PeftModule:
+    """Build cfg.method's module, freeze the base weights, and hook it in."""
     if model.peft is not None:
         raise ContractError("model already has an adapter module attached")
     for t in cfg.target_layers:
         model.layer_from_top(t)  # bounds check against this model
-    module = _MODULE_CLASSES[method](model, cfg)
+    module = _MODULE_CLASSES[cfg.method](model, cfg)
     model.freeze_base()
     model.peft = module
     return module
-
-
-def attach_lora(model: TransformerModel, cfg: PeftConfig) -> PeftModule:
-    return _attach(model, cfg, "lora")
-
-
-def attach_dora(model: TransformerModel, cfg: PeftConfig) -> PeftModule:
-    return _attach(model, cfg, "dora")
-
-
-def attach_adapter(model: TransformerModel, cfg: PeftConfig) -> PeftModule:
-    return _attach(model, cfg, "adapter")
-
-
-def attach_prefix(model: TransformerModel, cfg: PeftConfig) -> PeftModule:
-    return _attach(model, cfg, "prefix")
-
-
-def attach_ia3(model: TransformerModel, cfg: PeftConfig) -> PeftModule:
-    return _attach(model, cfg, "ia3")
-
-
-def attach_unipelt(model: TransformerModel, cfg: PeftConfig) -> PeftModule:
-    return _attach(model, cfg, "unipelt")
-
-
-def attach(model: TransformerModel, cfg: PeftConfig) -> PeftModule:
-    """Dispatch on cfg.method."""
-    return _attach(model, cfg, cfg.method)
-
-
-def theta_tilde(module: PeftModule) -> ThetaTilde:
-    return module.theta_tilde()

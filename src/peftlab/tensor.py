@@ -21,7 +21,6 @@ from .errors import ContractError, GraphError, NumericError, ShapeError
 
 __all__ = [
     "Tensor",
-    "ComputeGraph",
     "no_grad",
     "backward",
     "finite_diff_grad",
@@ -111,9 +110,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
@@ -155,46 +151,37 @@ def _sum_to_shape(grad64: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad64.astype(np.float32).reshape(shape)
 
 
-class ComputeGraph:
-    """Topologically ordered tape (inputs precede consumers)."""
+def _topo_order(output: Tensor) -> list[Tensor]:
+    """Every recorded tensor ``output`` depends on, inputs before consumers.
 
-    __slots__ = ("nodes",)
-
-    def __init__(self, nodes: list[Tensor]):
-        self.nodes = nodes
-
-    @classmethod
-    def trace(cls, output: Tensor) -> "ComputeGraph":
-        """Collect every recorded tensor ``output`` depends on, topo-sorted.
-
-        Iterative postorder DFS; a cycle (impossible by construction, checked
-        anyway) raises GraphError.
-        """
-        order: list[Tensor] = []
-        state: dict[int, int] = {}  # id -> 1 visiting, 2 done
-        stack: list[tuple[Tensor, bool]] = [(output, False)]
-        while stack:
-            t, expanded = stack.pop()
-            tid = id(t)
-            if expanded:
-                state[tid] = 2
-                order.append(t)
-                continue
-            st = state.get(tid)
-            if st == 2:
-                continue
-            if st == 1:
-                raise GraphError(f"cycle through op '{t.node.op}'")
-            state[tid] = 1
-            stack.append((t, True))
-            if t.node is not None:
-                for inp in t.node.inputs:
-                    if inp.node is not None and state.get(id(inp)) != 2:
-                        stack.append((inp, False))
-        return cls(order)
+    Iterative postorder DFS; a cycle (impossible by construction, checked
+    anyway) raises GraphError.
+    """
+    order: list[Tensor] = []
+    state: dict[int, int] = {}  # id -> 1 visiting, 2 done
+    stack: list[tuple[Tensor, bool]] = [(output, False)]
+    while stack:
+        t, expanded = stack.pop()
+        tid = id(t)
+        if expanded:
+            state[tid] = 2
+            order.append(t)
+            continue
+        st = state.get(tid)
+        if st == 2:
+            continue
+        if st == 1:
+            raise GraphError(f"cycle through op '{t.node.op}'")
+        state[tid] = 1
+        stack.append((t, True))
+        if t.node is not None:
+            for inp in t.node.inputs:
+                if inp.node is not None and state.get(id(inp)) != 2:
+                    stack.append((inp, False))
+    return order
 
 
-def backward(loss: Tensor, graph: ComputeGraph | None = None) -> None:
+def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into ``.grad`` of every requiring leaf.
 
     ``loss`` must be scalar. Each node is visited exactly once; cotangents of
@@ -208,12 +195,10 @@ def backward(loss: Tensor, graph: ComputeGraph | None = None) -> None:
             seed = np.ones(loss.shape, dtype=np.float32)
             loss.grad = seed if loss.grad is None else loss.grad + seed
         return
-    if graph is None:
-        graph = ComputeGraph.trace(loss)
     cotangents: dict[int, np.ndarray] = {
         id(loss): np.ones(loss.shape, dtype=np.float32)
     }
-    for t in reversed(graph.nodes):
+    for t in reversed(_topo_order(loss)):
         g = cotangents.pop(id(t), None)
         if g is None:
             continue

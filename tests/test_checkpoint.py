@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import stat
 import struct
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from peftlab import tensor as T
 from peftlab.checkpoint import (FORMAT_VERSION, atomic_write_bytes,
                                 load_checkpoint, save_checkpoint)
+from peftlab.cli import cli
 from peftlab.config import ExperimentConfig, MaskConfig, TaskConfig
 from peftlab.errors import CheckpointError
 from peftlab.fisher import select
@@ -124,7 +126,9 @@ def test_bad_magic_and_version(tmp_path):
         load_checkpoint(short)
 
 
-def test_manifest_shape_mismatch_rejected(tmp_path):
+def rewrite_manifest(tmp_path, name, edit):
+    """Save a checkpoint, apply ``edit`` to its manifest dict, and write the
+    result (payload offsets unchanged) to tmp_path / name."""
     cfg = small_config()
     model, module, mask = build_state(cfg)
     path = tmp_path / "ckpt.bin"
@@ -133,14 +137,46 @@ def test_manifest_shape_mismatch_rejected(tmp_path):
     pre = struct.Struct("<4sIQ")
     magic, version, mlen = pre.unpack_from(blob)
     manifest = json.loads(blob[pre.size:pre.size + mlen])
-    manifest["tensors"][0]["shape"][0] += 1
+    edit(manifest)
     body = json.dumps(manifest, sort_keys=True).encode()
-    # offsets unchanged: the reshape must fail or the shape check must fire
-    hacked = tmp_path / "shape.bin"
+    hacked = tmp_path / name
     hacked.write_bytes(pre.pack(magic, version, len(body)) + body
                        + blob[pre.size + mlen:])
+    return hacked
+
+
+def test_manifest_shape_mismatch_rejected(tmp_path):
+    def grow_first_shape(manifest):
+        manifest["tensors"][0]["shape"][0] += 1
+
+    # offsets unchanged: the reshape must fail or the shape check must fire
+    hacked = rewrite_manifest(tmp_path, "shape.bin", grow_first_shape)
     with pytest.raises(CheckpointError):
         load_checkpoint(hacked)
+
+
+@pytest.mark.parametrize("record,field", [
+    (None, "config"), (None, "config_hash"), (None, "tensors"),
+    ("tensor", "name"), ("tensor", "shape"), ("tensor", "offset"),
+    ("tensor", "nbytes"), ("mask", "strategy"), ("mask", "k"),
+    ("mask", "seed"), ("mask", "offset"), ("mask", "nbytes"),
+])
+def test_manifest_missing_field_is_checkpoint_error(tmp_path, record, field):
+    def drop(manifest):
+        target = {None: manifest, "tensor": manifest["tensors"][0],
+                  "mask": manifest["mask"]}[record]
+        del target[field]
+
+    hacked = rewrite_manifest(tmp_path, "hole.bin", drop)
+    with pytest.raises(CheckpointError, match=f"lacks field '{field}'"):
+        load_checkpoint(hacked)
+
+
+def test_eval_of_manifest_without_config_exits_2(tmp_path, capsys):
+    hacked = rewrite_manifest(tmp_path, "noconfig.bin",
+                              lambda manifest: manifest.pop("config"))
+    assert cli(["eval", str(hacked)]) == 2
+    assert "lacks field 'config'" in capsys.readouterr().err
 
 
 def test_resume_continues_equivalently(tmp_path):
@@ -172,3 +208,22 @@ def test_atomic_write_replaces_not_appends(tmp_path):
     atomic_write_bytes(p, b"second")
     assert p.read_bytes() == b"second"
     assert [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")] == []
+
+
+def test_atomic_write_fsyncs_file_then_directory(tmp_path, monkeypatch):
+    events = []
+    real_replace = os.replace
+
+    def fake_fsync(fd):
+        kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+        events.append(f"fsync-{kind}")
+
+    def spy_replace(src, dst):
+        events.append("replace")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fake_fsync)
+    monkeypatch.setattr(os, "replace", spy_replace)
+    atomic_write_bytes(tmp_path / "blob.bin", b"payload")
+    assert events == ["fsync-file", "replace", "fsync-dir"]
+    assert (tmp_path / "blob.bin").read_bytes() == b"payload"

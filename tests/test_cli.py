@@ -56,11 +56,17 @@ def test_gen_data_writes_jsonl(tmp_path, cfg_path, capsys):
 
 
 def test_fisher_then_mask_artifacts(tmp_path, cfg_path):
-    out = str(tmp_path / "art")
-    assert cli(["fisher", "--config", cfg_path, "--out", out]) == 0
-    assert os.path.exists(os.path.join(out, "scores.bin"))
-    assert cli(["mask", "--config", cfg_path, "--out", out]) == 0
-    assert os.path.exists(os.path.join(out, "mask.bin"))
+    out = tmp_path / "art"
+    assert cli(["fisher", "--config", cfg_path, "--out", str(out)]) == 0
+    scores = (out / "scores.bin").read_bytes()
+    assert cli(["mask", "--config", cfg_path, "--out", str(out)]) == 0
+    # the mask command re-estimates the same scores before selecting
+    assert (out / "scores.bin").read_bytes() == scores
+
+    run = tmp_path / "run"
+    assert cli(["train", "--config", cfg_path, "--out", str(run)]) == 0
+    for name in ("scores.bin", "mask.bin"):
+        assert (out / name).read_bytes() == (run / name).read_bytes(), name
 
 
 def test_mask_budget_zero_is_validation_error(tmp_path, cfg_path, capsys):

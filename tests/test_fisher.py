@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 from peftlab import tensor as T
 from peftlab.errors import CheckpointError, ConfigError, ContractError
 from peftlab.fisher import (FisherEstimate, SparsityMask, budget_to_k,
-                            estimate_fisher, export_text, load_mask,
-                            load_scores, mask_gradients, save_mask,
-                            save_scores, select)
+                            estimate_fisher, load_mask, load_scores,
+                            mask_gradients, save_mask, save_scores, select)
 from peftlab.model import ModelConfig, build_model
-from peftlab.peft import PeftConfig, ThetaTilde, attach_lora
+from peftlab.peft import PeftConfig, ThetaTilde, attach
 from peftlab.tasks import generate_task
 
 SMALL = ModelConfig(num_layers=1, hidden_dim=8, num_heads=2, ffn_dim=16,
@@ -62,8 +61,8 @@ def test_fisher_matches_logistic_closed_form():
 
 def lora_fixture():
     model = build_model(SMALL)
-    module = attach_lora(model, PeftConfig(method="lora", rank=2,
-                                           target_layers=(1,)))
+    module = attach(model, PeftConfig(method="lora", rank=2,
+                                      target_layers=(1,)))
     task = generate_task("parity", 32, 3, vocab_size=8, seq_len=6,
                          batch_size=8)
     return model, module, task[0]
@@ -118,6 +117,8 @@ def test_fisher_properties_and_validation():
         estimate_fisher(model, data, num_samples=0)
     with pytest.raises(ConfigError):
         estimate_fisher(model, data, num_samples=10_000)
+    with pytest.raises(ContractError):
+        estimate_fisher(model, [], num_samples=1)
     with pytest.raises(ContractError):
         FisherEstimate(np.array([[1.0]]), 1)
     with pytest.raises(ContractError):
@@ -198,13 +199,6 @@ def test_budget_to_k_frozen_values():
         budget_to_k(192, 1.5)
 
 
-def test_budget_to_k_accepts_views_and_modules():
-    model, module, _ = lora_fixture()
-    n = module.theta_tilde().length
-    assert budget_to_k(module, 0.5) == budget_to_k(n, 0.5)
-    assert budget_to_k(module.theta_tilde(), 0.5) == budget_to_k(n, 0.5)
-
-
 def test_select_validation():
     scores = np.ones(5, dtype=np.float32)
     with pytest.raises(ConfigError):
@@ -264,17 +258,6 @@ def test_score_and_mask_round_trip(tmp_path):
     assert load_mask(mpath).seed == 11
 
 
-def test_text_export(tmp_path):
-    est = FisherEstimate(np.array([0.5, 0.25, 1.0], dtype=np.float32), 4)
-    mask = select(est, 2, "fish")
-    path = tmp_path / "mask.txt"
-    export_text(path, mask, est)
-    lines = path.read_text().splitlines()
-    assert lines == ["0 0.5 1", "1 0.25 0", "2 1 1"]
-    export_text(path, mask)
-    assert path.read_text().splitlines()[0] == "0 0 1"
-
-
 def test_container_corruption_detected(tmp_path):
     est = FisherEstimate(np.ones(8, dtype=np.float32), 2)
     path = tmp_path / "scores.bin"
@@ -298,3 +281,13 @@ def test_container_corruption_detected(tmp_path):
     save_mask(tmp_path / "mask.bin", mask)
     with pytest.raises(CheckpointError, match="score file|not a"):
         load_scores(tmp_path / "mask.bin")
+
+
+def test_non_ascii_strategy_is_checkpoint_error(tmp_path):
+    path = tmp_path / "mask.bin"
+    save_mask(path, select(np.ones(8, dtype=np.float32), 3, "fish"))
+    blob = bytearray(path.read_bytes())
+    blob[10] = 0xE9  # first byte of the 12-byte strategy field
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="ASCII"):
+        load_mask(path)

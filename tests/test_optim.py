@@ -11,7 +11,7 @@ from peftlab.fisher import select
 from peftlab.model import ModelConfig, build_model
 from peftlab.optim import (OptimizerState, TrainConfig, compute_ratios,
                            evaluate, step, train)
-from peftlab.peft import PeftConfig, ThetaTilde, attach, attach_lora
+from peftlab.peft import PeftConfig, ThetaTilde, attach
 from peftlab.tasks import generate_task
 from peftlab.tensor import Tensor
 
@@ -140,8 +140,8 @@ def test_evaluate_matches_manual_computation():
 
 def test_compute_ratios_identity_within_one_ulp():
     model = build_model(SMALL)
-    module = attach_lora(model, PeftConfig(method="lora", rank=2,
-                                           target_layers=(1,)))
+    module = attach(model, PeftConfig(method="lora", rank=2,
+                                      target_layers=(1,)))
     length = module.theta_tilde().length
     total = model.param_count() + module.param_count()
     scores = np.arange(length, dtype=np.float32)
@@ -156,8 +156,8 @@ def test_compute_ratios_identity_within_one_ulp():
 
 def test_halving_budget_halves_ratio1_exactly():
     model = build_model(SMALL)
-    module = attach_lora(model, PeftConfig(method="lora", rank=2,
-                                           target_layers=(1,)))
+    module = attach(model, PeftConfig(method="lora", rank=2,
+                                      target_layers=(1,)))
     length = module.theta_tilde().length
     scores = np.arange(length, dtype=np.float32)
     full = compute_ratios(model, module, select(scores, length, "fish"))

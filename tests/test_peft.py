@@ -6,9 +6,7 @@ import pytest
 from peftlab import tensor as T
 from peftlab.errors import ConfigError, ContractError
 from peftlab.model import Batch, ModelConfig, build_model, forward
-from peftlab.peft import (METHODS, PeftConfig, attach, attach_adapter,
-                          attach_dora, attach_ia3, attach_lora, attach_prefix,
-                          attach_unipelt, pissa_init, theta_tilde)
+from peftlab.peft import METHODS, PeftConfig, attach, pissa_init
 
 CFG32 = ModelConfig(num_layers=2, hidden_dim=32, num_heads=4, ffn_dim=64,
                     vocab_size=16, max_seq_len=8, num_classes=2, seed=42)
@@ -32,43 +30,43 @@ def logits_of(model, batch):
 
 def test_lora_theta_length_frozen():
     m = build_model(CFG32)
-    mod = attach_lora(m, PeftConfig(method="lora", rank=1,
-                                    target_weights=("W_Q", "W_K", "W_V"),
-                                    target_layers=(1,)))
+    mod = attach(m, PeftConfig(method="lora", rank=1,
+                               target_weights=("W_Q", "W_K", "W_V"),
+                               target_layers=(1,)))
     assert mod.param_count() == 192  # 3 targets x (32*1 + 1*32)
 
 
 def test_dora_theta_length_frozen():
     m = build_model(CFG32)
-    mod = attach_dora(m, PeftConfig(method="dora", rank=1,
-                                    target_weights=("W_Q",),
-                                    target_layers=(1,)))
+    mod = attach(m, PeftConfig(method="dora", rank=1,
+                               target_weights=("W_Q",),
+                               target_layers=(1,)))
     assert mod.param_count() == 96  # 32 + 32 + 32 magnitudes
 
 
 def test_adapter_prefix_ia3_theta_lengths():
     d, f, r, l = 32, 64, 4, 5
     m = build_model(CFG32)
-    mod = attach_adapter(m, PeftConfig(method="adapter", rank=r,
-                                       target_layers=(1, 2)))
+    mod = attach(m, PeftConfig(method="adapter", rank=r,
+                               target_layers=(1, 2)))
     assert mod.param_count() == 2 * 2 * (d * r + r * d)
 
     m = build_model(CFG32)
-    mod = attach_prefix(m, PeftConfig(method="prefix", prefix_len=l,
-                                      target_layers=(1,)))
+    mod = attach(m, PeftConfig(method="prefix", prefix_len=l,
+                               target_layers=(1,)))
     assert mod.param_count() == 2 * l * d  # H * 2 * l * head_dim
 
     m = build_model(CFG32)
-    mod = attach_ia3(m, PeftConfig(method="ia3", target_layers=(1, 2)))
+    mod = attach(m, PeftConfig(method="ia3", target_layers=(1, 2)))
     assert mod.param_count() == 2 * (d + d + f)
 
 
 def test_theta_order_layer_then_name_then_part():
     m = build_model(CFG32)
-    mod = attach_lora(m, PeftConfig(method="lora", rank=2,
-                                    target_weights=("W_V", "W_Q"),
-                                    target_layers=(1, 2)))
-    names = [s.name for s in theta_tilde(mod).segments]
+    mod = attach(m, PeftConfig(method="lora", rank=2,
+                               target_weights=("W_V", "W_Q"),
+                               target_layers=(1, 2)))
+    names = [s.name for s in mod.theta_tilde().segments]
     assert names == [
         "layer0/W_Q/B", "layer0/W_Q/A", "layer0/W_V/B", "layer0/W_V/A",
         "layer1/W_Q/B", "layer1/W_Q/A", "layer1/W_V/B", "layer1/W_V/A",
@@ -77,10 +75,10 @@ def test_theta_order_layer_then_name_then_part():
 
 def test_unipelt_theta_contains_all_groups_in_order():
     m = build_model(SMALL)
-    mod = attach_unipelt(m, PeftConfig(method="unipelt", rank=2, prefix_len=3,
-                                       target_weights=("W_Q",),
-                                       target_layers=(1,)))
-    names = [s.name for s in theta_tilde(mod).segments]
+    mod = attach(m, PeftConfig(method="unipelt", rank=2, prefix_len=3,
+                               target_weights=("W_Q",),
+                               target_layers=(1,)))
+    names = [s.name for s in mod.theta_tilde().segments]
     assert names == [
         "layer1/W_Q/B", "layer1/W_Q/A",
         "layer1/adapter_attn/B", "layer1/adapter_attn/A",
@@ -89,24 +87,24 @@ def test_unipelt_theta_contains_all_groups_in_order():
         "layer1/prefix/P_K", "layer1/prefix/P_V",
     ]
     no_gates = build_model(SMALL)
-    mod2 = attach_unipelt(no_gates, PeftConfig(method="unipelt", rank=2,
-                                               prefix_len=3,
-                                               target_weights=("W_Q",),
-                                               target_layers=(1,),
-                                               include_gates=False))
-    assert all("gate" not in s.name for s in theta_tilde(mod2).segments)
+    mod2 = attach(no_gates, PeftConfig(method="unipelt", rank=2,
+                                       prefix_len=3,
+                                       target_weights=("W_Q",),
+                                       target_layers=(1,),
+                                       include_gates=False))
+    assert all("gate" not in s.name for s in mod2.theta_tilde().segments)
 
 
 def test_target_layers_count_from_top():
     m = build_model(ModelConfig(num_layers=3, seed=1))
-    mod = attach_lora(m, PeftConfig(method="lora", target_layers=(1,)))
-    assert all(s.name.startswith("layer2/") for s in theta_tilde(mod).segments)
+    mod = attach(m, PeftConfig(method="lora", target_layers=(1,)))
+    assert all(s.name.startswith("layer2/") for s in mod.theta_tilde().segments)
 
 
 def test_theta_round_trip_and_write_through():
     m = build_model(SMALL)
-    mod = attach_lora(m, PeftConfig(method="lora", rank=2))
-    theta = theta_tilde(mod)
+    mod = attach(m, PeftConfig(method="lora", rank=2))
+    theta = mod.theta_tilde()
     vec = theta.to_vector()
     assert vec.dtype == np.float32 and vec.shape == (theta.length,)
     theta.set_vector(vec)
@@ -123,19 +121,13 @@ def test_theta_round_trip_and_write_through():
 
 def test_grad_vector_zero_fills_missing():
     m = build_model(SMALL)
-    mod = attach_lora(m, PeftConfig(method="lora", rank=2))
-    g = theta_tilde(mod).grad_vector()
-    assert g.shape == (theta_tilde(mod).length,)
+    mod = attach(m, PeftConfig(method="lora", rank=2))
+    g = mod.theta_tilde().grad_vector()
+    assert g.shape == (mod.theta_tilde().length,)
     assert np.all(g == 0.0)
 
 
 # -- identity at init ----------------------------------------------------------
-
-
-def attach_fn(method):
-    return {"lora": attach_lora, "dora": attach_dora, "adapter": attach_adapter,
-            "prefix": attach_prefix, "ia3": attach_ia3,
-            "unipelt": attach_unipelt}[method]
 
 
 @pytest.mark.parametrize("method", ["lora", "adapter", "ia3"])
@@ -143,7 +135,7 @@ def test_identity_at_init_bitwise(method):
     batch = small_batch()
     base = logits_of(build_model(SMALL), batch)
     m = build_model(SMALL)
-    attach_fn(method)(m, PeftConfig(method=method, rank=3, target_layers=(1, 2)))
+    attach(m, PeftConfig(method=method, rank=3, target_layers=(1, 2)))
     assert logits_of(m, batch).tobytes() == base.tobytes()
 
 
@@ -151,7 +143,7 @@ def test_identity_at_init_dora():
     batch = small_batch()
     base = logits_of(build_model(SMALL), batch)
     m = build_model(SMALL)
-    attach_dora(m, PeftConfig(method="dora", rank=2, target_layers=(1, 2)))
+    attach(m, PeftConfig(method="dora", rank=2, target_layers=(1, 2)))
     assert np.max(np.abs(logits_of(m, batch) - base)) < 1e-6
 
 
@@ -159,8 +151,8 @@ def test_prefix_changes_output_at_init():
     batch = small_batch()
     base = logits_of(build_model(SMALL), batch)
     m = build_model(SMALL)
-    attach_prefix(m, PeftConfig(method="prefix", prefix_len=4,
-                                target_layers=(1, 2)))
+    attach(m, PeftConfig(method="prefix", prefix_len=4,
+                         target_layers=(1, 2)))
     assert np.max(np.abs(logits_of(m, batch) - base)) > 1e-6
 
 
@@ -174,8 +166,8 @@ def test_prefix_suppressed_limit_matches_base():
     m = build_model(SMALL)
     for lp in m.layers:
         lp.b_Q.data[:] = 1.0
-    mod = attach_prefix(m, PeftConfig(method="prefix", prefix_len=4,
-                                      target_layers=(1, 2)))
+    mod = attach(m, PeftConfig(method="prefix", prefix_len=4,
+                               target_layers=(1, 2)))
     for rows in mod.rows.values():
         rows["P_K"].data[:] = -1e6
     assert np.max(np.abs(logits_of(m, batch) - base)) < 1e-4
@@ -188,13 +180,13 @@ def test_unipelt_gate_limits():
     cfg = PeftConfig(method="unipelt", rank=2, prefix_len=3,
                      target_layers=(1, 2))
     m = build_model(SMALL)
-    mod = attach_unipelt(m, cfg)
+    mod = attach(m, cfg)
     mod.gate_override = 0.0
     assert np.max(np.abs(logits_of(m, batch) - base)) < 1e-6
 
     plain = build_model(SMALL)
-    attach_prefix(plain, PeftConfig(method="prefix", prefix_len=3,
-                                    target_layers=(1, 2)))
+    attach(plain, PeftConfig(method="prefix", prefix_len=3,
+                             target_layers=(1, 2)))
     mod.gate_override = 1.0
     # lora/adapter deltas are still zero at init; gate 1 leaves only the prefix
     assert np.max(np.abs(logits_of(m, batch) - logits_of(plain, batch))) < 1e-6
@@ -238,8 +230,8 @@ def test_pissa_attach_reproduces_base_and_mutates_weight():
     w_before = base_model.layers[1].W_Q.data.copy()
 
     m = build_model(SMALL)
-    attach_lora(m, PeftConfig(method="lora", rank=2, init="pissa",
-                              target_weights=("W_Q",), target_layers=(1,)))
+    attach(m, PeftConfig(method="lora", rank=2, init="pissa",
+                         target_weights=("W_Q",), target_layers=(1,)))
     assert m.layers[1].W_Q.data.tobytes() != w_before.tobytes()
     assert np.max(np.abs(logits_of(m, batch) - base)) < 1e-4
 
@@ -249,7 +241,7 @@ def test_pissa_attach_reproduces_base_and_mutates_weight():
 
 def test_attach_freezes_base_keeps_head():
     m = build_model(SMALL)
-    attach_lora(m, PeftConfig(method="lora"))
+    attach(m, PeftConfig(method="lora"))
     assert all(not t.requires_grad for _, t in m.base_parameters())
     assert all(t.requires_grad for _, t in m.head_parameters())
     assert all(t.requires_grad for t in m.peft.theta_tilde().tensors())
@@ -257,17 +249,15 @@ def test_attach_freezes_base_keeps_head():
 
 def test_double_attach_rejected():
     m = build_model(SMALL)
-    attach_lora(m, PeftConfig(method="lora"))
+    attach(m, PeftConfig(method="lora"))
     with pytest.raises(ContractError):
-        attach_ia3(m, PeftConfig(method="ia3"))
+        attach(m, PeftConfig(method="ia3"))
 
 
-def test_attach_dispatch_and_method_mismatch():
+def test_attach_dispatches_on_method():
     m = build_model(SMALL)
     mod = attach(m, PeftConfig(method="ia3"))
     assert mod.method == "ia3"
-    with pytest.raises(ConfigError):
-        attach_lora(build_model(SMALL), PeftConfig(method="ia3"))
 
 
 def test_config_validation():
@@ -292,20 +282,20 @@ def test_config_validation():
 def test_target_layer_out_of_range_for_model():
     m = build_model(SMALL)  # 2 layers
     with pytest.raises(ConfigError):
-        attach_lora(m, PeftConfig(method="lora", target_layers=(3,)))
+        attach(m, PeftConfig(method="lora", target_layers=(3,)))
 
 
 def test_rank_exceeding_min_dim_rejected():
     m = build_model(SMALL)
     with pytest.raises(ConfigError):
-        attach_lora(m, PeftConfig(method="lora", rank=9,
-                                  target_weights=("W_Q",)))
+        attach(m, PeftConfig(method="lora", rank=9,
+                             target_weights=("W_Q",)))
 
 
 def test_prefix_position_budget():
     m = build_model(SMALL)
     with pytest.raises(ConfigError):
-        attach_prefix(m, PeftConfig(method="prefix", prefix_len=4096))
+        attach(m, PeftConfig(method="prefix", prefix_len=4096))
 
 
 # -- gradients through every hook -------------------------------------------------
@@ -327,8 +317,8 @@ PEFT_GRAD_CASES = [
                          ids=[c[0] for c in PEFT_GRAD_CASES])
 def test_theta_gradients_match_finite_differences(method, cfg):
     m = build_model(SMALL)
-    mod = attach_fn(method)(m, cfg)
-    theta = theta_tilde(mod)
+    mod = attach(m, cfg)
+    theta = mod.theta_tilde()
     batch = small_batch(seed=3)
 
     # nudge adapter params off their init zeros so gradients are generic
@@ -357,7 +347,7 @@ def test_theta_gradients_match_finite_differences(method, cfg):
 
 def test_base_gets_no_grads_after_attach():
     m = build_model(SMALL)
-    attach_lora(m, PeftConfig(method="lora", rank=2))
+    attach(m, PeftConfig(method="lora", rank=2))
     batch = small_batch()
     T.backward(T.log_softmax_nll(forward(m, batch), batch.labels))
     assert all(t.grad is None for _, t in m.base_parameters())
