@@ -20,15 +20,44 @@ import numpy as np
 
 from . import config as config_mod
 from .errors import CheckpointError
-from .fisher import SparsityMask
+from .fisher import STRATEGIES, SparsityMask
 from .model import TransformerModel, build_model
 from .peft import PeftModule, attach
+from .tensor import Tensor
 
 _MAGIC = b"PLCK"
 FORMAT_VERSION = 1
 _PREAMBLE = struct.Struct("<4sIQ")
-_TENSOR_FIELDS = ("name", "shape", "offset", "nbytes")
-_MASK_FIELDS = ("strategy", "k", "seed", "offset", "nbytes")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_count(value) -> bool:
+    return _is_int(value) and value >= 0
+
+
+# field -> (check, what a valid value is), per manifest record
+_COUNT = (_is_count, "a non-negative integer")
+_TEXT = (lambda v: isinstance(v, str), "a string")
+_MANIFEST_FIELDS = {"config": (lambda v: isinstance(v, dict), "an object"),
+                    "config_hash": _TEXT,
+                    "tensors": (lambda v: isinstance(v, list), "a list")}
+_TENSOR_FIELDS = {
+    "name": _TEXT,
+    "shape": (lambda v: isinstance(v, list) and all(map(_is_count, v)),
+              "a list of non-negative integers"),
+    "offset": _COUNT,
+    "nbytes": _COUNT,
+}
+_MASK_FIELDS = {
+    "strategy": (lambda v: v in STRATEGIES, f"one of {list(STRATEGIES)}"),
+    "k": _COUNT,
+    "seed": (lambda v: v is None or _is_int(v), "an integer or null"),
+    "offset": _COUNT,
+    "nbytes": _COUNT,
+}
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
@@ -59,11 +88,11 @@ def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def _all_tensors(model: TransformerModel,
-                 module: PeftModule) -> list[tuple[str, np.ndarray]]:
-    named = [(name, t.data) for name, t in model.named_parameters()]
-    named.extend((f"peft/{name}", t.data)
-                 for name, t in module.trainable_entries())
+def _named_tensors(model: TransformerModel,
+                   module: PeftModule) -> list[tuple[str, Tensor]]:
+    """Every tensor a checkpoint holds, under its checkpoint name."""
+    named = model.named_parameters()
+    named.extend((f"peft/{name}", t) for name, t in module.trainable_entries())
     return named
 
 
@@ -81,13 +110,12 @@ class CheckpointState:
 def save_checkpoint(path, cfg: config_mod.ExperimentConfig,
                     model: TransformerModel, module: PeftModule,
                     mask: SparsityMask | None = None) -> None:
-    tensors = _all_tensors(model, module)
     table = []
     offset = 0
     blocks = []
-    for name, arr in tensors:
-        block = arr.astype("<f4", copy=False).tobytes()
-        table.append({"name": name, "shape": list(arr.shape),
+    for name, t in _named_tensors(model, module):
+        block = t.data.astype("<f4", copy=False).tobytes()
+        table.append({"name": name, "shape": list(t.shape),
                       "offset": offset, "nbytes": len(block)})
         blocks.append(block)
         offset += len(block)
@@ -108,12 +136,17 @@ def save_checkpoint(path, cfg: config_mod.ExperimentConfig,
                        + body + b"".join(blocks))
 
 
-def _require(record, fields: tuple[str, ...], what: str, path) -> None:
+def _require(record, fields: dict, what: str, path) -> None:
+    """Check that ``record`` is an object holding every field of ``fields``,
+    each of the type and range its rule demands."""
     if not isinstance(record, dict):
         raise CheckpointError(f"{path}: {what} is not a JSON object")
-    for name in fields:
+    for name, (valid, expected) in fields.items():
         if name not in record:
             raise CheckpointError(f"{path}: {what} lacks field '{name}'")
+        if not valid(record[name]):
+            raise CheckpointError(f"{path}: {what} field '{name}' must be "
+                                  f"{expected}, got {record[name]!r}")
 
 
 def load_checkpoint(path) -> CheckpointState:
@@ -140,7 +173,7 @@ def load_checkpoint(path) -> CheckpointState:
         manifest = json.loads(blob[_PREAMBLE.size:header_end])
     except json.JSONDecodeError as e:
         raise CheckpointError(f"{path}: manifest is not valid JSON: {e}") from e
-    _require(manifest, ("config", "config_hash", "tensors"), "manifest", path)
+    _require(manifest, _MANIFEST_FIELDS, "manifest", path)
     if manifest.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(f"{path}: manifest version mismatch")
 
@@ -162,10 +195,9 @@ def load_checkpoint(path) -> CheckpointState:
             raise CheckpointError(f"{path}: tensor '{name}' declares shape "
                                   f"{shape} but {nbytes} payload bytes")
         arr = np.frombuffer(payload[start:start + nbytes], dtype="<f4")
-        restored[name] = arr.reshape(shape).copy()
+        restored[name] = arr.reshape(shape)
 
-    live = dict(model.named_parameters())
-    live.update((f"peft/{n}", t) for n, t in module.trainable_entries())
+    live = dict(_named_tensors(model, module))
     missing = sorted(set(live) - set(restored))
     if missing:
         raise CheckpointError(f"{path}: manifest lacks tensor '{missing[0]}'")
@@ -178,7 +210,7 @@ def load_checkpoint(path) -> CheckpointState:
             raise CheckpointError(f"{path}: tensor '{name}' has shape "
                                   f"{restored[name].shape}, expected "
                                   f"{tensor.shape}")
-        tensor.data = restored[name]
+        tensor.data[...] = restored[name]
 
     mask = None
     info = manifest.get("mask")

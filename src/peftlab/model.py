@@ -191,9 +191,6 @@ class TransformerModel:
 
     # -- objectives -----------------------------------------------------------
 
-    def forward(self, batch: Batch) -> Tensor:
-        return forward(self, batch)
-
     def example_nll(self, token_row: np.ndarray, label: int) -> Tensor:
         """Loss of one example; the unit the Fisher estimate is built from."""
         batch = Batch(np.asarray(token_row)[None, :], np.asarray([label]))

@@ -26,6 +26,19 @@ from .tasks import flatten
 OPTIMIZERS = ("sgd", "adamw")
 
 
+def _check_hyperparameters(kind: str, lr: float, beta1: float, beta2: float,
+                           weight_decay: float) -> None:
+    if kind not in OPTIMIZERS:
+        raise ConfigError(f"unknown optimizer '{kind}'; expected one of "
+                          f"{OPTIMIZERS}")
+    if lr <= 0:
+        raise ConfigError(f"lr must be positive, got {lr}")
+    if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
+        raise ConfigError(f"betas must lie in [0, 1), got ({beta1}, {beta2})")
+    if weight_decay < 0:
+        raise ConfigError(f"weight_decay must be >= 0, got {weight_decay}")
+
+
 @dataclass
 class OptimizerState:
     """Per-flat-view optimizer buffers; create via :meth:`create`."""
@@ -44,16 +57,7 @@ class OptimizerState:
     def create(cls, kind: str, lr: float, length: int,
                beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
                weight_decay: float = 0.0) -> "OptimizerState":
-        if kind not in OPTIMIZERS:
-            raise ConfigError(f"unknown optimizer '{kind}'; expected one of "
-                              f"{OPTIMIZERS}")
-        if lr <= 0:
-            raise ConfigError(f"lr must be positive, got {lr}")
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ConfigError(f"betas must lie in [0, 1), got "
-                              f"({beta1}, {beta2})")
-        if weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {weight_decay}")
+        _check_hyperparameters(kind, lr, beta1, beta2, weight_decay)
         state = cls(kind, lr, beta1, beta2, eps, weight_decay)
         if kind == "adamw":
             state.exp_avg = np.zeros(length, dtype=np.float32)
@@ -65,8 +69,9 @@ def step(params: ThetaTilde, grads: np.ndarray, mask: SparsityMask | None,
          state: OptimizerState) -> None:
     """One update of the flat view at the currently scheduled state.lr.
 
-    Masked coordinates are bitwise untouched: their gradient is zeroed before
-    the moments update, and the write-back indexes active coordinates only.
+    The update is written in place into the view's buffer. Masked
+    coordinates are bitwise untouched: their gradient is zeroed before the
+    moments update, and the write indexes active coordinates only.
     """
     g = np.asarray(grads, dtype=np.float32)
     if g.shape != (params.length,):
@@ -94,7 +99,7 @@ def step(params: ThetaTilde, grads: np.ndarray, mask: SparsityMask | None,
         corr2 = 1.0 - state.beta2 ** state.step_count
         update = state.lr * (m / corr1) / (np.sqrt(v / corr2) + state.eps)
 
-    vec = params.to_vector()
+    vec = params.data
     delta = update[active]
     if state.weight_decay:
         delta = delta + (state.lr * state.weight_decay) * vec[active]
@@ -102,8 +107,7 @@ def step(params: ThetaTilde, grads: np.ndarray, mask: SparsityMask | None,
         flat = np.flatnonzero(~np.isfinite(delta))[0]
         coord = flat if isinstance(active, slice) else int(active[flat])
         raise NumericError(f"non-finite update at coordinate {coord}")
-    vec[active] = vec[active] - delta
-    params.set_vector(vec)
+    vec[active] -= delta
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +129,8 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"unknown optimizer '{self.optimizer}'")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        _check_hyperparameters(self.optimizer, self.lr, self.beta1,
+                               self.beta2, self.weight_decay)
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:

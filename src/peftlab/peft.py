@@ -1,12 +1,13 @@
 """Parameter-efficient adapter modules and their flat parameter view.
 
 Six methods share one contract: attach to a frozen base model, expose every
-new trainable tensor through :class:`ThetaTilde` (a flat float32 view in a
-deterministic order), and influence the forward pass only via the model's
-hook points. The flat view is what scoring, masking, and the optimizer
-operate on, so its ordering is part of the persistence format: layer index
-ascending, then group name lexicographic, then the method's part order
-(B before A before m; P_K before P_V), row-major within a tensor.
+new trainable tensor through :class:`ThetaTilde` (one float32 buffer that
+the tensors are views into, in a deterministic order), and influence the
+forward pass only via the model's hook points. The flat view is what
+scoring, masking, and the optimizer operate on, so its ordering is part of
+the persistence format: layer index ascending, then group name
+lexicographic, then the method's part order (B before A before m; P_K
+before P_V), row-major within a tensor.
 """
 
 from __future__ import annotations
@@ -106,10 +107,14 @@ class Segment:
 
 
 class ThetaTilde:
-    """Flat float32 view over named trainable tensors, in a fixed order.
+    """One contiguous float32 buffer, ``data``, behind named trainable tensors.
 
-    ``set_vector`` writes through to the underlying tensors;
-    ``set_vector(to_vector())`` is a bitwise no-op.
+    The constructor copies each tensor into its segment of ``data`` and
+    rebinds the tensor's ``.data`` to a view of that segment, so a write
+    through the buffer and an in-place write to a tensor are the same write.
+    Code in this package never rebinds ``.data`` on a tensor a view holds:
+    that would cut the tensor loose from the buffer. ``to_vector`` returns a
+    copy; ``set_vector(to_vector())`` is a bitwise no-op.
     """
 
     def __init__(self, entries: list[tuple[str, Tensor]]):
@@ -122,6 +127,11 @@ class ThetaTilde:
             self.segments.append(Segment(name, offset, offset + t.size, t.shape))
             offset += t.size
         self.length = offset
+        self.data = np.empty(offset, dtype=np.float32)
+        for seg, (_, t) in zip(self.segments, self.entries):
+            view = self.data[seg.start:seg.stop]
+            view[:] = t.data.ravel()
+            t.data = view.reshape(seg.shape)
 
     def __len__(self) -> int:
         return self.length
@@ -130,15 +140,14 @@ class ThetaTilde:
         return [t for _, t in self.entries]
 
     def to_vector(self) -> np.ndarray:
-        return np.concatenate([t.data.ravel() for _, t in self.entries])
+        return self.data.copy()
 
     def set_vector(self, vec: np.ndarray) -> None:
         v = np.asarray(vec, dtype=np.float32)
         if v.shape != (self.length,):
             raise ShapeError(f"vector of shape {v.shape} cannot fill a view "
                              f"of length {self.length}")
-        for seg, (_, t) in zip(self.segments, self.entries):
-            t.data = v[seg.start:seg.stop].reshape(seg.shape).copy()
+        self.data[:] = v
 
     def grad_vector(self) -> np.ndarray:
         parts = []
@@ -186,14 +195,6 @@ def pissa_init(w0: Tensor, rank: int) -> tuple[Tensor, Tensor, Tensor]:
 _PART_ORDER = {"B": 0, "A": 1, "m": 2, "P_K": 0, "P_V": 1, "l": 0, "w": 0}
 
 
-def _sort_entries(raw: list[tuple[int, str, str, Tensor]]) \
-        -> list[tuple[str, Tensor]]:
-    """Canonical flat order: (layer, group lexicographic, part order)."""
-    raw.sort(key=lambda r: (r[0], r[1], _PART_ORDER[r[2]]))
-    return [(f"layer{layer}/{group}/{part}", t)
-            for layer, group, part, t in raw]
-
-
 def _expand_targets(model: TransformerModel, cfg: PeftConfig) \
         -> list[tuple[int, str]]:
     """Resolve (top-counted layer, target name) pairs to absolute matrices."""
@@ -223,14 +224,23 @@ def _ones(*shape) -> Tensor:
 
 
 class PeftModule(ForwardHooks):
-    """Base class: owns trainable tensors and the cached flat view."""
+    """Base class: owns trainable tensors and their flat view.
+
+    Subclasses pass one ``(layer, group, part, tensor)`` record per
+    trainable tensor. ``records`` keeps them in the canonical flat order
+    (layer, group lexicographic, part order), and the view's segment names
+    are ``layer{n}/{group}/{part}``.
+    """
 
     method: str = "?"
 
     def __init__(self, cfg: PeftConfig,
-                 entries: list[tuple[str, Tensor]]):
+                 records: list[tuple[int, str, str, Tensor]]):
         self.cfg = cfg
-        self._theta = ThetaTilde(entries)
+        self.records = sorted(records,
+                              key=lambda r: (r[0], r[1], _PART_ORDER[r[2]]))
+        self._theta = ThetaTilde([(f"layer{layer}/{group}/{part}", t)
+                                  for layer, group, part, t in self.records])
 
     def theta_tilde(self) -> ThetaTilde:
         return self._theta
@@ -296,7 +306,7 @@ class LoraModule(PeftModule):
         self.scale = lr.scale
         self.branches = lr.branches
         self.gate_provider = gate_provider
-        super().__init__(cfg, _sort_entries(lr.raw))
+        super().__init__(cfg, lr.raw)
 
     def project(self, layer, name, x, w, b):
         base = super().project(layer, name, x, w, b)
@@ -322,7 +332,7 @@ class DoraModule(PeftModule):
         lr = _LowRankSet(model, cfg, with_magnitude=True, rng=rng)
         self.scale = lr.scale
         self.branches = lr.branches
-        super().__init__(cfg, _sort_entries(lr.raw))
+        super().__init__(cfg, lr.raw)
 
     def project(self, layer, name, x, w, b):
         branch = self.branches.get((layer, name))
@@ -363,7 +373,7 @@ class AdapterModule(PeftModule):
                 self.blocks[(li, point)] = {"B": b, "A": a}
                 raw.append((li, point, "B", b))
                 raw.append((li, point, "A", a))
-        super().__init__(cfg, _sort_entries(raw))
+        super().__init__(cfg, raw)
 
     def _apply(self, layer, point, h):
         block = self.blocks.get((layer, point))
@@ -406,7 +416,7 @@ class PrefixModule(PeftModule):
             self.rows[li] = {"P_K": p_k, "P_V": p_v}
             raw.append((li, "prefix", "P_K", p_k))
             raw.append((li, "prefix", "P_V", p_v))
-        super().__init__(cfg, _sort_entries(raw))
+        super().__init__(cfg, raw)
 
     def prefix_kv(self, layer):
         rows = self.rows.get(layer)
@@ -432,7 +442,7 @@ class Ia3Module(PeftModule):
             raw.append((li, "W_K", "l", l_k))
             raw.append((li, "W_V", "l", l_v))
             raw.append((li, "FFN", "l", l_ff))
-        super().__init__(cfg, _sort_entries(raw))
+        super().__init__(cfg, raw)
 
     def project(self, layer, name, x, w, b):
         base = super().project(layer, name, x, w, b)
@@ -456,6 +466,12 @@ class UniPeltModule(PeftModule):
     each submodule's contribution (for the prefix, its un-normalized
     attention weight columns). ``gate_override`` forces every gate to a
     constant, which tests use to recover the all-off and all-on limits.
+
+    The composite's view is the live one for the submodules' tensors: it is
+    built last, so their ``.data`` are views into its buffer, and each
+    submodule's own ``theta_tilde()`` keeps a stale copy of the initial
+    values. No code in this package may rebind ``.data`` on a tensor that a
+    view holds.
     """
 
     method = "unipelt"
@@ -482,11 +498,8 @@ class UniPeltModule(PeftModule):
                                gate_provider=lambda li: self._gate(li, "prefix"))
             self.submodules["prefix"] = sub
 
-        for name, sub in self.submodules.items():
-            for seg, (_, t) in zip(sub.theta_tilde().segments,
-                                   sub.theta_tilde().entries):
-                layer, group, part = seg.name.split("/")
-                raw.append((int(layer.removeprefix("layer")), group, part, t))
+        for sub in self.submodules.values():
+            raw.extend(sub.records)
 
         for top in sorted(cfg.target_layers):
             li = model.layer_from_top(top)
@@ -495,7 +508,7 @@ class UniPeltModule(PeftModule):
                 self.gate_weights[(li, name)] = wg
                 if cfg.include_gates:
                     raw.append((li, f"gate_{name}", "w", wg))
-        super().__init__(cfg, _sort_entries(raw))
+        super().__init__(cfg, raw)
 
     def _gate(self, layer: int, name: str) -> Tensor:
         gate = self._gates.get((layer, name))

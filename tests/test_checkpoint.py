@@ -155,20 +155,38 @@ def test_manifest_shape_mismatch_rejected(tmp_path):
         load_checkpoint(hacked)
 
 
-@pytest.mark.parametrize("record,field", [
-    (None, "config"), (None, "config_hash"), (None, "tensors"),
-    ("tensor", "name"), ("tensor", "shape"), ("tensor", "offset"),
-    ("tensor", "nbytes"), ("mask", "strategy"), ("mask", "k"),
-    ("mask", "seed"), ("mask", "offset"), ("mask", "nbytes"),
+_DROP = object()
+_MISSING = [(None, "config"), (None, "config_hash"), (None, "tensors"),
+            ("tensor", "name"), ("tensor", "shape"), ("tensor", "offset"),
+            ("tensor", "nbytes"), ("mask", "strategy"), ("mask", "k"),
+            ("mask", "seed"), ("mask", "offset"), ("mask", "nbytes")]
+_MISTYPED = [(None, "tensors", 5, "int"),
+             ("tensor", "offset", "0", "str"),
+             ("tensor", "offset", -4, "negative"),
+             ("tensor", "shape", "ab", "str"),
+             ("mask", "strategy", "bogus", "unknown"),
+             ("mask", "k", "3", "str")]
+
+
+@pytest.mark.parametrize("record,field,value", [
+    *(pytest.param(r, f, _DROP, id=f"{r}-{f}") for r, f in _MISSING),
+    *(pytest.param(r, f, v, id=f"{r}-{f}-{kind}")
+      for r, f, v, kind in _MISTYPED),
 ])
-def test_manifest_missing_field_is_checkpoint_error(tmp_path, record, field):
-    def drop(manifest):
+def test_manifest_missing_field_is_checkpoint_error(tmp_path, record, field,
+                                                    value):
+    def edit(manifest):
         target = {None: manifest, "tensor": manifest["tensors"][0],
                   "mask": manifest["mask"]}[record]
-        del target[field]
+        if value is _DROP:
+            del target[field]
+        else:
+            target[field] = value
 
-    hacked = rewrite_manifest(tmp_path, "hole.bin", drop)
-    with pytest.raises(CheckpointError, match=f"lacks field '{field}'"):
+    hacked = rewrite_manifest(tmp_path, "hole.bin", edit)
+    expected = (f"lacks field '{field}'" if value is _DROP
+                else f"field '{field}' must be")
+    with pytest.raises(CheckpointError, match=expected):
         load_checkpoint(hacked)
 
 
@@ -177,6 +195,28 @@ def test_eval_of_manifest_without_config_exits_2(tmp_path, capsys):
                               lambda manifest: manifest.pop("config"))
     assert cli(["eval", str(hacked)]) == 2
     assert "lacks field 'config'" in capsys.readouterr().err
+
+
+def test_loaded_view_matches_trained_view(tmp_path):
+    """The loaded module's flat view holds the restored values, not the
+    values it was attached with."""
+    cfg = small_config()
+    task = generate_task(cfg.task.kind, cfg.task.size, cfg.task.seed,
+                         vocab_size=cfg.model.vocab_size,
+                         seq_len=cfg.model.max_seq_len,
+                         batch_size=cfg.train.batch_size)
+    model, module, mask = build_state(cfg)
+    at_attach = module.theta_tilde().to_vector()
+    train(model, module, mask, task, dataclasses.replace(cfg.train, epochs=1))
+    trained = module.theta_tilde().to_vector()
+    active = mask.bits == 1
+    assert np.any(trained[active] != at_attach[active])
+
+    path = tmp_path / "trained.bin"
+    save_checkpoint(path, cfg, model, module, mask)
+    state = load_checkpoint(path)
+    assert state.module.theta_tilde().to_vector().tobytes() \
+        == trained.tobytes()
 
 
 def test_resume_continues_equivalently(tmp_path):

@@ -88,6 +88,16 @@ def test_malformed_config_is_validation_error(tmp_path, capsys):
     assert "warp_speed" in capsys.readouterr().err
 
 
+def test_out_of_range_beta_is_validation_error(tmp_path, cfg_path, capsys):
+    with open(cfg_path) as fh:
+        doc = json.load(fh)
+    doc["train"]["beta1"] = 1.5
+    path = tmp_path / "beta.json"
+    path.write_text(json.dumps(doc))
+    assert cli(["train", "--config", str(path)]) == 1
+    assert "betas must lie in [0, 1)" in capsys.readouterr().err
+
+
 def test_train_and_eval_round_trip(tmp_path, cfg_path, capsys):
     out = str(tmp_path / "run")
     assert cli(["train", "--config", cfg_path, "--out", out]) == 0

@@ -101,9 +101,10 @@ def test_target_layers_count_from_top():
     assert all(s.name.startswith("layer2/") for s in mod.theta_tilde().segments)
 
 
-def test_theta_round_trip_and_write_through():
+@pytest.mark.parametrize("method", METHODS)
+def test_theta_round_trip_and_write_through(method):
     m = build_model(SMALL)
-    mod = attach(m, PeftConfig(method="lora", rank=2))
+    mod = attach(m, PeftConfig(method=method, rank=2, prefix_len=3))
     theta = mod.theta_tilde()
     vec = theta.to_vector()
     assert vec.dtype == np.float32 and vec.shape == (theta.length,)
@@ -117,6 +118,23 @@ def test_theta_round_trip_and_write_through():
     changed = theta.entries[0][1].data.ravel()[3]
     assert seg.start <= 3 < seg.stop
     assert changed == vec2[3]
+
+    # set_vector reaches every entry tensor
+    vec3 = np.arange(theta.length, dtype=np.float32)
+    theta.set_vector(vec3)
+    for seg, (name, t) in zip(theta.segments, theta.entries):
+        assert t.data.tobytes() == vec3[seg.start:seg.stop].tobytes(), name
+
+    # an in-place write to a tensor shows in the next to_vector
+    for seg, (name, t) in zip(theta.segments, theta.entries):
+        t.data.ravel()[-1] = -7.0
+        assert theta.to_vector()[seg.stop - 1] == -7.0, name
+
+    # to_vector is a copy: changing it leaves the view alone
+    snapshot = theta.to_vector()
+    out = theta.to_vector()
+    out += 1.0
+    assert theta.to_vector().tobytes() == snapshot.tobytes()
 
 
 def test_grad_vector_zero_fills_missing():

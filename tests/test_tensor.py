@@ -169,7 +169,7 @@ def test_backward_accumulates_until_zeroed():
     for _ in range(2):
         T.backward(T.sum_all(T.hadamard(x, x)))
     np.testing.assert_allclose(x.grad, [12.0])  # 6 + 6
-    x.zero_grad()
+    x.grad = None
     T.backward(T.sum_all(T.hadamard(x, x)))
     np.testing.assert_allclose(x.grad, [6.0])
 
