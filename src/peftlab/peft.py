@@ -230,29 +230,40 @@ class PeftModule(ForwardHooks):
     trainable tensor. ``records`` keeps them in the canonical flat order
     (layer, group lexicographic, part order), and the view's segment names
     are ``layer{n}/{group}/{part}``.
+
+    Only :class:`UniPeltModule` passes a ``gate_provider``. A module built
+    with one is a UniPELT part: the composite's view holds its tensors, so it
+    builds no view of its own and ``theta_tilde()`` raises ContractError.
     """
 
     method: str = "?"
+    gate_provider = None
 
     def __init__(self, cfg: PeftConfig,
                  records: list[tuple[int, str, str, Tensor]]):
         self.cfg = cfg
         self.records = sorted(records,
                               key=lambda r: (r[0], r[1], _PART_ORDER[r[2]]))
-        self._theta = ThetaTilde([(f"layer{layer}/{group}/{part}", t)
-                                  for layer, group, part, t in self.records])
+        self._theta = None
+        if self.gate_provider is None:
+            self._theta = ThetaTilde([(f"layer{layer}/{group}/{part}", t)
+                                      for layer, group, part, t in self.records])
 
     def theta_tilde(self) -> ThetaTilde:
+        if self._theta is None:
+            raise ContractError(f"the {self.method} part of a unipelt module "
+                                f"has no view of its own; use the unipelt "
+                                f"module's theta_tilde()")
         return self._theta
 
     def param_count(self) -> int:
-        return self._theta.length
+        return self.theta_tilde().length
 
     def zero_grads(self) -> None:
-        self._theta.zero_grads()
+        self.theta_tilde().zero_grads()
 
     def trainable_entries(self) -> list[tuple[str, Tensor]]:
-        return list(self._theta.entries)
+        return list(self.theta_tilde().entries)
 
 
 def _gate_to_delta_shape(gate: Tensor, delta: Tensor) -> Tensor:
@@ -467,11 +478,10 @@ class UniPeltModule(PeftModule):
     attention weight columns). ``gate_override`` forces every gate to a
     constant, which tests use to recover the all-off and all-on limits.
 
-    The composite's view is the live one for the submodules' tensors: it is
-    built last, so their ``.data`` are views into its buffer, and each
-    submodule's own ``theta_tilde()`` keeps a stale copy of the initial
-    values. No code in this package may rebind ``.data`` on a tensor that a
-    view holds.
+    The composite's view is the only buffer behind the submodules' tensors:
+    each submodule gets a gate provider, so it builds no view (see
+    :class:`PeftModule`). No code in this package may rebind ``.data`` on a
+    tensor that a view holds.
     """
 
     method = "unipelt"

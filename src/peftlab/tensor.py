@@ -6,6 +6,11 @@ a given platform (numpy's kernels fix the summation order). The graph is
 define-by-run: every op that touches a grad-requiring tensor records a node,
 and ``backward`` replays the tape once in reverse topological order.
 
+Pullbacks compute a cotangent only for the inputs whose ``requires_grad`` is
+true when ``backward`` runs, and return ``None`` for the others, so a frozen
+weight costs no ``x^T g`` product. The cotangents that are computed do the
+same arithmetic whichever inputs are frozen, so they keep their bits.
+
 A single graph must stay on one thread; independent graphs may run in
 parallel. Tensors with ``requires_grad=False`` never enter the tape.
 """
@@ -116,7 +121,7 @@ class _Node:
     """Tape entry: the op name, its input tensors, and a pullback.
 
     The pullback maps the output cotangent (float32 array) to one cotangent
-    per input, ``None`` for inputs that do not require grad.
+    per input, ``None`` for inputs that do not require grad when it runs.
     """
 
     __slots__ = ("op", "inputs", "pullback")
@@ -137,8 +142,16 @@ def _record(op: str, data: np.ndarray, inputs: tuple[Tensor, ...],
     return out
 
 
-def _sum_to_shape(grad64: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Undo numpy broadcasting: sum a float64 cotangent down to ``shape``."""
+def _sum_to_shape(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Undo numpy broadcasting: sum a cotangent down to ``shape`` in float64.
+
+    With nothing to reduce, a float32 ``grad`` is returned as is (the float64
+    round trip would be exact), so a pullback that hands one cotangent to two
+    inputs this way must copy one of them.
+    """
+    if grad.shape == shape:
+        return grad if grad.dtype == np.float32 else grad.astype(np.float32)
+    grad64 = np.asarray(grad, dtype=np.float64)
     extra = grad64.ndim - len(shape)
     if extra > 0:
         grad64 = grad64.sum(axis=tuple(range(extra)))
@@ -225,8 +238,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def pull(g: np.ndarray):
         g64 = g.astype(np.float64)
-        ga = _sum_to_shape(np.matmul(g64, np.swapaxes(b64, -1, -2)), a.shape)
-        gb = _sum_to_shape(np.matmul(np.swapaxes(a64, -1, -2), g64), b.shape)
+        ga = gb = None
+        if a.requires_grad:
+            ga = _sum_to_shape(np.matmul(g64, np.swapaxes(b64, -1, -2)), a.shape)
+        if b.requires_grad:
+            gb = _sum_to_shape(np.matmul(np.swapaxes(a64, -1, -2), g64), b.shape)
         return ga, gb
 
     return _record("matmul", out, (a, b), pull)
@@ -236,8 +252,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def pull(g: np.ndarray):
-        g64 = g.astype(np.float64)
-        return _sum_to_shape(g64, a.shape), _sum_to_shape(g64, b.shape)
+        ga = _sum_to_shape(g, a.shape) if a.requires_grad else None
+        gb = _sum_to_shape(g, b.shape) if b.requires_grad else None
+        if gb is not None and gb is ga:
+            gb = gb.copy()  # two leaves must not share one .grad array
+        return ga, gb
 
     return _record("add", out, (a, b), pull)
 
@@ -246,8 +265,8 @@ def subtract(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
 
     def pull(g: np.ndarray):
-        g64 = g.astype(np.float64)
-        return _sum_to_shape(g64, a.shape), _sum_to_shape(-g64, b.shape)
+        return (_sum_to_shape(g, a.shape) if a.requires_grad else None,
+                _sum_to_shape(-g, b.shape) if b.requires_grad else None)
 
     return _record("subtract", out, (a, b), pull)
 
@@ -260,8 +279,8 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
 
     def pull(g: np.ndarray):
         g64 = g.astype(np.float64)
-        ga = _sum_to_shape(g64 * b.data, a.shape)
-        gb = _sum_to_shape(g64 * a.data, b.shape)
+        ga = _sum_to_shape(g64 * b.data, a.shape) if a.requires_grad else None
+        gb = _sum_to_shape(g64 * a.data, b.shape) if b.requires_grad else None
         return ga, gb
 
     return _record("hadamard", out, (a, b), pull)
@@ -283,8 +302,12 @@ def divide(a: Tensor, b: Tensor) -> Tensor:
     def pull(g: np.ndarray):
         g64 = g.astype(np.float64)
         b64 = b.data.astype(np.float64)
-        ga = _sum_to_shape(g64 / b64, a.shape)
-        gb = _sum_to_shape(-g64 * a.data.astype(np.float64) / (b64 * b64), b.shape)
+        ga = gb = None
+        if a.requires_grad:
+            ga = _sum_to_shape(g64 / b64, a.shape)
+        if b.requires_grad:
+            gb = _sum_to_shape(-g64 * a.data.astype(np.float64) / (b64 * b64),
+                               b.shape)
         return ga, gb
 
     return _record("divide", out, (a, b), pull)
@@ -401,14 +424,18 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
     def pull(g: np.ndarray):
         go = g.astype(np.float64)
-        dxhat = go * g64
-        dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
         lead = tuple(range(go.ndim - 1))
-        dgamma = (go * xhat).sum(axis=lead)
-        dbeta = go.sum(axis=lead)
-        return (dx.astype(np.float32), dgamma.astype(np.float32),
-                dbeta.astype(np.float32))
+        dx = dgamma = dbeta = None
+        if x.requires_grad:
+            dxhat = go * g64
+            dx = (inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                         - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+                  ).astype(np.float32)
+        if gamma.requires_grad:
+            dgamma = (go * xhat).sum(axis=lead).astype(np.float32)
+        if beta.requires_grad:
+            dbeta = go.sum(axis=lead).astype(np.float32)
+        return dx, dgamma, dbeta
 
     return _record("layer_norm", out, (x, gamma, beta), pull)
 
@@ -440,8 +467,8 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     splits = np.cumsum(sizes)[:-1]
 
     def pull(g: np.ndarray):
-        return tuple(np.ascontiguousarray(piece)
-                     for piece in np.split(g, splits, axis=axis))
+        return tuple(np.ascontiguousarray(piece) if t.requires_grad else None
+                     for t, piece in zip(parts, np.split(g, splits, axis=axis)))
 
     return _record("concat", out, parts, pull)
 
@@ -508,7 +535,7 @@ def broadcast_to(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = np.ascontiguousarray(np.broadcast_to(a.data, shape))
 
     def pull(g: np.ndarray):
-        return (_sum_to_shape(g.astype(np.float64), a.shape),)
+        return (_sum_to_shape(g, a.shape),)
 
     return _record("broadcast_to", out, (a,), pull)
 

@@ -95,6 +95,22 @@ def test_unipelt_theta_contains_all_groups_in_order():
     assert all("gate" not in s.name for s in mod2.theta_tilde().segments)
 
 
+def test_unipelt_composite_view_is_the_only_buffer():
+    m = build_model(SMALL)
+    mod = attach(m, PeftConfig(method="unipelt", rank=2, prefix_len=3))
+    theta = mod.theta_tilde()
+    vec = np.arange(theta.length, dtype=np.float32)
+    theta.set_vector(vec)
+    segment_of = {id(t): seg for seg, (_, t) in zip(theta.segments, theta.entries)}
+    for name, sub in mod.submodules.items():
+        with pytest.raises(ContractError, match=name):
+            sub.theta_tilde()
+        for layer, group, part, t in sub.records:
+            seg = segment_of[id(t)]
+            assert np.shares_memory(t.data, theta.data), (name, group, part)
+            assert t.data.tobytes() == vec[seg.start:seg.stop].tobytes()
+
+
 def test_target_layers_count_from_top():
     m = build_model(ModelConfig(num_layers=3, seed=1))
     mod = attach(m, PeftConfig(method="lora", target_layers=(1,)))
@@ -361,6 +377,35 @@ def test_theta_gradients_match_finite_differences(method, cfg):
         fd = T.finite_diff_grad(objective, T.Tensor(t.data.copy()))
         assert t.grad is not None, name
         assert T.grad_close(t.grad, fd.data), name
+
+
+@pytest.mark.parametrize("method", ["lora", "unipelt"])
+def test_backward_computes_no_cotangent_for_frozen_inputs(method):
+    m = build_model(SMALL)
+    attach(m, PeftConfig(method=method, rank=2, prefix_len=3))
+    batch = small_batch()
+    loss = T.log_softmax_nll(forward(m, batch), batch.labels)
+    counts = {"used": 0, "frozen_inputs": 0}
+    wasted = []
+    for t in T._topo_order(loss):
+        node = t.node
+
+        def counted(g, node=node, pull=node.pullback):
+            grads = pull(g)
+            assert len(grads) == len(node.inputs), node.op
+            for inp, gi in zip(node.inputs, grads):
+                if not inp.requires_grad:
+                    counts["frozen_inputs"] += 1
+                    if gi is not None:
+                        wasted.append(node.op)
+                elif gi is not None:
+                    counts["used"] += 1
+            return grads
+
+        node.pullback = counted
+    T.backward(loss)
+    assert wasted == []
+    assert counts["frozen_inputs"] > 0 and counts["used"] > 0
 
 
 def test_base_gets_no_grads_after_attach():

@@ -157,6 +157,61 @@ def test_log_softmax_nll_matches_manual_value():
     assert abs(got - want) < 1e-6
 
 
+# Every multi-input primitive, with input shapes that include batching and
+# broadcasting; each input is frozen in turn.
+MIXED_CASES = {
+    "matmul": (T.matmul, [(3, 4), (4, 2)]),
+    "matmul_batched": (T.matmul, [(2, 3, 4), (4, 2)]),
+    "add": (T.add, [(3, 5), (3, 5)]),
+    "add_broadcast": (T.add, [(3, 5), (5,)]),
+    "subtract": (T.subtract, [(3, 5), (3, 5)]),
+    "subtract_broadcast": (T.subtract, [(3, 5), (1, 5)]),
+    "hadamard": (T.hadamard, [(4, 3), (4, 3)]),
+    "divide": (T.divide, [(4, 3), (1, 3)]),
+    "layer_norm": (T.layer_norm, [(2, 3, 6), (6,), (6,)]),
+    "concat": (lambda *ts: T.concat(ts, axis=1), [(2, 3, 4), (2, 2, 4), (2, 1, 4)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MIXED_CASES))
+def test_frozen_input_gets_no_cotangent_and_the_rest_keep_their_bits(case):
+    build, shapes = MIXED_CASES[case]
+    arrays = random_inputs(shapes, seed=3, lo=0.5, hi=2.0)
+
+    def run(frozen):
+        leaves = [T.Tensor(a, requires_grad=i != frozen)
+                  for i, a in enumerate(arrays)]
+        out = build(*leaves)
+        g = np.random.default_rng(9).uniform(-1, 1, out.shape).astype(np.float32)
+        raw = out.node.pullback(g)
+        T.backward(T.sum_all(T.hadamard(out, T.Tensor(g))))
+        return leaves, raw
+
+    full, full_raw = run(frozen=None)
+    for frozen in range(len(arrays)):
+        leaves, raw = run(frozen)
+        assert raw[frozen] is None
+        assert leaves[frozen].grad is None
+        for i, leaf in enumerate(leaves):
+            if i == frozen:
+                continue
+            assert raw[i].dtype == np.float32
+            assert raw[i].tobytes() == full_raw[i].tobytes(), (frozen, i)
+            assert leaf.grad.tobytes() == full[i].grad.tobytes(), (frozen, i)
+
+
+@pytest.mark.parametrize("second", ["leaf", "reshaped_leaf"])
+def test_pass_through_cotangents_do_not_alias(second):
+    a = T.Tensor(np.ones((2, 3)), requires_grad=True)
+    b = T.Tensor(np.ones((2, 3) if second == "leaf" else 6), requires_grad=True)
+    other = b if second == "leaf" else T.reshape(b, (2, 3))
+    T.backward(T.sum_all(T.add(a, other)))
+    assert not np.shares_memory(a.grad, b.grad)
+    b_before = b.grad.copy()
+    a.grad += 1.0
+    assert b.grad.tobytes() == b_before.tobytes()
+
+
 def test_backward_requires_scalar():
     x = T.Tensor(np.ones((2, 2)), requires_grad=True)
     y = T.scale(x, 2.0)
