@@ -39,6 +39,8 @@ class TaskConfig:
             raise ConfigError(f"task size must be >= 16, got {self.size}")
         if self.eval_size is not None and self.eval_size < 1:
             raise ConfigError("eval_size must be >= 1 when given")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -57,6 +59,8 @@ class MaskConfig:
         if self.fisher_samples < 1:
             raise ConfigError(f"fisher_samples must be >= 1, "
                               f"got {self.fisher_samples}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

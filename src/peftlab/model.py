@@ -43,6 +43,8 @@ class ModelConfig:
         if self.hidden_dim % self.num_heads != 0:
             raise ConfigError(f"hidden_dim {self.hidden_dim} not divisible by "
                               f"num_heads {self.num_heads}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def head_dim(self) -> int:
@@ -298,10 +300,10 @@ def forward(model: TransformerModel, batch: Batch) -> Tensor:
             p_k, p_v, gate = pref
             n_prefix = p_k.shape[1]
             shape = (b, cfg.num_heads, n_prefix, cfg.head_dim)
-            kh = T.concat_rows(T.broadcast_to(T.reshape(p_k, (1,) + p_k.shape),
-                                              shape), kh)
-            vh = T.concat_rows(T.broadcast_to(T.reshape(p_v, (1,) + p_v.shape),
-                                              shape), vh)
+            kh = T.concat((T.broadcast_to(T.reshape(p_k, (1,) + p_k.shape),
+                                          shape), kh), axis=-2)
+            vh = T.concat((T.broadcast_to(T.reshape(p_v, (1,) + p_v.shape),
+                                          shape), vh), axis=-2)
 
         scores = T.scale(T.matmul(qh, T.transpose(kh)), inv_sqrt)
         if gate is not None:

@@ -137,6 +137,8 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -218,6 +220,8 @@ def train(model: TransformerModel, module: PeftModule,
     and reshuffled each epoch with a generator seeded once from tcfg.seed, so
     identical inputs give identical reports. Evaluation runs before training
     (epoch 0 record) and after every epoch; early stopping watches eval loss.
+    A non-finite loss or update ends the run with ``diverged=True`` and the
+    records so far.
     """
     started = time.perf_counter()
     train_batches, eval_batches = task
@@ -266,8 +270,11 @@ def train(model: TransformerModel, module: PeftModule,
             lr_now = tcfg.lr * max(0.0, 1.0 - step_idx / total_steps)
             opt_theta.lr = lr_now
             opt_head.lr = lr_now
-            step(theta, theta.grad_vector(), mask, opt_theta)
-            step(head, head.grad_vector(), None, opt_head)
+            try:
+                step(theta, theta.grad_vector(), mask, opt_theta)
+                step(head, head.grad_vector(), None, opt_head)
+            except NumericError:
+                return report(diverged=True)
             loss_sum += value * len(batch)
             seen += len(batch)
             step_idx += 1

@@ -17,10 +17,9 @@ parallel. Tensors with ``requires_grad=False`` never enter the tape.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ContractError, GraphError, NumericError, ShapeError
 
@@ -37,21 +36,17 @@ __all__ = [
     "divide",
     "exp",
     "relu",
-    "gelu",
     "sigmoid",
     "softmax",
     "log_softmax_nll",
     "layer_norm",
     "column_l2_norm",
     "concat",
-    "concat_rows",
     "slice_axis",
     "reshape",
     "transpose",
     "embedding",
     "broadcast_to",
-    "sum_all",
-    "mean_all",
     "sum_axis",
     "mean_axis",
 ]
@@ -74,11 +69,6 @@ class no_grad:
         return False
 
 
-def _f32(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float32)
-    return arr
-
-
 class Tensor:
     """A float32 array plus an optional gradient and tape node.
 
@@ -90,7 +80,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "node")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _f32(data)
+        self.data = np.asarray(data, dtype=np.float32)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self.node: _Node | None = None
@@ -331,19 +321,6 @@ def relu(a: Tensor) -> Tensor:
     return _record("relu", out, (a,), pull)
 
 
-def gelu(a: Tensor) -> Tensor:
-    """Exact-erf gelu: 0.5 * x * (1 + erf(x / sqrt(2)))."""
-    x64 = a.data.astype(np.float64)
-    cdf = 0.5 * (1.0 + erf(x64 / np.sqrt(2.0)))
-    out = (x64 * cdf).astype(np.float32)
-
-    def pull(g: np.ndarray):
-        pdf = np.exp(-0.5 * x64 * x64) / np.sqrt(2.0 * np.pi)
-        return ((g.astype(np.float64) * (cdf + x64 * pdf)).astype(np.float32),)
-
-    return _record("gelu", out, (a,), pull)
-
-
 def sigmoid(a: Tensor) -> Tensor:
     x64 = a.data.astype(np.float64)
     y64 = np.where(x64 >= 0, 1.0 / (1.0 + np.exp(-x64)),
@@ -473,11 +450,6 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     return _record("concat", out, parts, pull)
 
 
-def concat_rows(a: Tensor, b: Tensor) -> Tensor:
-    """Stack along the second-to-last axis (rows of the trailing matrices)."""
-    return concat((a, b), axis=-2)
-
-
 def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     idx = [slice(None)] * a.ndim
     idx[axis] = slice(start, stop)
@@ -540,26 +512,6 @@ def broadcast_to(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _record("broadcast_to", out, (a,), pull)
 
 
-def sum_all(a: Tensor) -> Tensor:
-    out = np.float32(a.data.astype(np.float64).sum())
-
-    def pull(g: np.ndarray):
-        return (np.full(a.shape, g.reshape(()), dtype=np.float32),)
-
-    return _record("sum_all", np.asarray(out), (a,), pull)
-
-
-def mean_all(a: Tensor) -> Tensor:
-    n = a.data.size
-    out = np.float32(a.data.astype(np.float64).sum() / n)
-
-    def pull(g: np.ndarray):
-        val = np.float32(float(g.reshape(())) / n)
-        return (np.full(a.shape, val, dtype=np.float32),)
-
-    return _record("mean_all", np.asarray(out), (a,), pull)
-
-
 def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     out = a.data.astype(np.float64).sum(axis=axis, keepdims=keepdims)
 
@@ -607,11 +559,3 @@ def finite_diff_grad(f: Callable[[Tensor], float], w: Tensor,
         h = float(plus[i]) - float(minus[i])
         grad[i] = (f_plus - f_minus) / h
     return Tensor(grad.reshape(w.shape))
-
-
-def grad_close(got: np.ndarray, want: np.ndarray, rtol: float = 1e-3) -> bool:
-    """|got - want| <= rtol * max(1, |got|, |want|), elementwise."""
-    g = np.asarray(got, dtype=np.float64)
-    x = np.asarray(want, dtype=np.float64)
-    tol = rtol * np.maximum(1.0, np.maximum(np.abs(g), np.abs(x)))
-    return bool(np.all(np.abs(g - x) <= tol))

@@ -20,6 +20,20 @@ def random_inputs(shapes, seed, lo=-1.5, hi=1.5, avoid_kinks=False):
     return out
 
 
+def scalar_sum(x):
+    """Sum of every entry of ``x`` as a 0-d Tensor, built from tape
+    primitives so ``backward`` can start from it."""
+    return T.sum_axis(T.reshape(x, (-1,)), 0)
+
+
+def grad_close(got, want, rtol=1e-3):
+    """|got - want| <= rtol * max(1, |got|, |want|), elementwise."""
+    g = np.asarray(got, dtype=np.float64)
+    x = np.asarray(want, dtype=np.float64)
+    tol = rtol * np.maximum(1.0, np.maximum(np.abs(g), np.abs(x)))
+    return bool(np.all(np.abs(g - x) <= tol))
+
+
 def check_grads(build, arrays, seed, rtol=1e-3, step=1e-3):
     """Compare backward against finite_diff_grad for every input.
 
@@ -31,17 +45,17 @@ def check_grads(build, arrays, seed, rtol=1e-3, step=1e-3):
     out = build(*leaves)
     rng = np.random.default_rng(seed + 1_000_003)
     proj = T.Tensor(rng.uniform(-1, 1, size=out.shape).astype(np.float32))
-    loss = T.sum_all(T.hadamard(out, proj))
+    loss = scalar_sum(T.hadamard(out, proj))
     T.backward(loss)
 
     for i, leaf in enumerate(leaves):
         def objective(t, i=i):
             subs = [T.Tensor(a) for a in arrays]
             subs[i] = t
-            return T.sum_all(T.hadamard(build(*subs), proj)).item()
+            return scalar_sum(T.hadamard(build(*subs), proj)).item()
 
         fd = T.finite_diff_grad(objective, T.Tensor(arrays[i]), step=step)
         assert leaf.grad is not None, f"input {i} got no grad"
-        assert T.grad_close(leaf.grad, fd.data, rtol=rtol), (
+        assert grad_close(leaf.grad, fd.data, rtol=rtol), (
             f"input {i}: backward disagrees with finite differences\n"
             f"backward={leaf.grad}\nfinite_diff={fd.data}")

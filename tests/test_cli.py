@@ -98,6 +98,25 @@ def test_out_of_range_beta_is_validation_error(tmp_path, cfg_path, capsys):
     assert "betas must lie in [0, 1)" in capsys.readouterr().err
 
 
+def test_negative_seed_flag_is_validation_error(tmp_path, cfg_path, capsys):
+    code = cli(["train", "--config", cfg_path, "--seed", "-1",
+                "--out", str(tmp_path / "run")])
+    assert code == 1
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_negative_seed_in_config_is_validation_error(tmp_path, cfg_path,
+                                                     capsys):
+    with open(cfg_path) as fh:
+        doc = json.load(fh)
+    doc["mask"]["seed"] = -1
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps(doc))
+    assert cli(["train", "--config", str(path)]) == 1
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
 def test_train_and_eval_round_trip(tmp_path, cfg_path, capsys):
     out = str(tmp_path / "run")
     assert cli(["train", "--config", cfg_path, "--out", out]) == 0

@@ -90,6 +90,14 @@ def test_task_config_validation():
         MaskConfig(fisher_samples=0)
 
 
+@pytest.mark.parametrize("cls", [ModelConfig, TaskConfig, MaskConfig,
+                                 TrainConfig])
+def test_negative_seed_rejected(cls):
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        cls(seed=-1)
+    assert cls(seed=0).seed == 0
+
+
 def test_hash_ignores_out_dir_only():
     cfg = sample_config()
     moved = dataclasses.replace(cfg, out_dir="/tmp/elsewhere")

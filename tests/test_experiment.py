@@ -92,6 +92,19 @@ def test_reports_byte_identical_modulo_wall_time(tmp_path):
     assert metrics_a == metrics_b
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nonfinite_update_writes_diverged_report(tmp_path):
+    out = str(tmp_path / "run")
+    cfg = dataclasses.replace(
+        quick_config(out_dir=out, strategy="dense", budget=1.0),
+        train=TrainConfig(optimizer="sgd", lr=1e39, epochs=2, seed=3))
+    report = run_experiment(cfg)
+    assert report.diverged
+    doc = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert doc["diverged"] is True
+    assert len(doc["records"]) == 1
+
+
 def test_no_out_dir_persists_nothing(tmp_path):
     before = set(os.listdir(tmp_path))
     report = run_experiment(quick_config(None))

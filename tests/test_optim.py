@@ -255,6 +255,18 @@ def test_divergence_reported_not_raised():
     assert len(report.records) >= 1
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nonfinite_update_reported_not_raised():
+    """An update that overflows while the loss is still finite ends the run
+    the same way a non-finite loss does."""
+    model, module, task, _ = training_setup()
+    tcfg = TrainConfig(lr=1e39, optimizer="sgd", epochs=5, batch_size=16,
+                       seed=5)
+    report = train(model, module, None, task, tcfg)
+    assert report.diverged
+    assert [r.epoch for r in report.records] == [0]
+
+
 def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(lr=0.0)

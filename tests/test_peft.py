@@ -8,6 +8,8 @@ from peftlab.errors import ConfigError, ContractError
 from peftlab.model import Batch, ModelConfig, build_model, forward
 from peftlab.peft import METHODS, PeftConfig, attach, pissa_init
 
+from helpers import grad_close
+
 CFG32 = ModelConfig(num_layers=2, hidden_dim=32, num_heads=4, ffn_dim=64,
                     vocab_size=16, max_seq_len=8, num_classes=2, seed=42)
 SMALL = ModelConfig(num_layers=2, hidden_dim=8, num_heads=2, ffn_dim=16,
@@ -376,7 +378,7 @@ def test_theta_gradients_match_finite_differences(method, cfg):
 
         fd = T.finite_diff_grad(objective, T.Tensor(t.data.copy()))
         assert t.grad is not None, name
-        assert T.grad_close(t.grad, fd.data), name
+        assert grad_close(t.grad, fd.data), name
 
 
 @pytest.mark.parametrize("method", ["lora", "unipelt"])

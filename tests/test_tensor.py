@@ -6,7 +6,7 @@ import pytest
 from peftlab import tensor as T
 from peftlab.errors import ContractError, NumericError, ShapeError
 
-from helpers import check_grads, random_inputs
+from helpers import check_grads, grad_close, random_inputs, scalar_sum
 
 N_SEEDS = 20
 
@@ -85,7 +85,6 @@ def test_grad_scale_exp(seed):
 def test_grad_activations(seed):
     (a,) = random_inputs([(4, 6)], seed, avoid_kinks=True)
     check_grads(lambda x: T.relu(x), [a], seed)
-    check_grads(lambda x: T.gelu(x), [a], seed)
     check_grads(lambda x: T.sigmoid(x), [a], seed)
 
 
@@ -111,7 +110,7 @@ def test_grad_column_l2_norm(seed):
 @pytest.mark.parametrize("seed", range(N_SEEDS))
 def test_grad_concat_slice_reshape_transpose(seed):
     a, b = random_inputs([(2, 3, 4), (2, 2, 4)], seed)
-    check_grads(lambda x, y: T.concat_rows(x, y), [a, b], seed)
+    check_grads(lambda x, y: T.concat((x, y), axis=-2), [a, b], seed)
     check_grads(lambda x: T.slice_axis(x, 1, 1, 3), [a], seed)
     check_grads(lambda x: T.reshape(x, (6, 4)), [a], seed)
     check_grads(lambda x: T.transpose(x), [a], seed)
@@ -146,7 +145,7 @@ def test_grad_log_softmax_nll(seed):
         fd = T.finite_diff_grad(
             lambda t: T.log_softmax_nll(t, labels, reduction).item(),
             T.Tensor(logits))
-        assert T.grad_close(leaf.grad, fd.data)
+        assert grad_close(leaf.grad, fd.data)
 
 
 def test_log_softmax_nll_matches_manual_value():
@@ -184,7 +183,7 @@ def test_frozen_input_gets_no_cotangent_and_the_rest_keep_their_bits(case):
         out = build(*leaves)
         g = np.random.default_rng(9).uniform(-1, 1, out.shape).astype(np.float32)
         raw = out.node.pullback(g)
-        T.backward(T.sum_all(T.hadamard(out, T.Tensor(g))))
+        T.backward(scalar_sum(T.hadamard(out, T.Tensor(g))))
         return leaves, raw
 
     full, full_raw = run(frozen=None)
@@ -205,7 +204,7 @@ def test_pass_through_cotangents_do_not_alias(second):
     a = T.Tensor(np.ones((2, 3)), requires_grad=True)
     b = T.Tensor(np.ones((2, 3) if second == "leaf" else 6), requires_grad=True)
     other = b if second == "leaf" else T.reshape(b, (2, 3))
-    T.backward(T.sum_all(T.add(a, other)))
+    T.backward(scalar_sum(T.add(a, other)))
     assert not np.shares_memory(a.grad, b.grad)
     b_before = b.grad.copy()
     a.grad += 1.0
@@ -222,10 +221,10 @@ def test_backward_requires_scalar():
 def test_backward_accumulates_until_zeroed():
     x = T.Tensor([3.0], requires_grad=True)
     for _ in range(2):
-        T.backward(T.sum_all(T.hadamard(x, x)))
+        T.backward(scalar_sum(T.hadamard(x, x)))
     np.testing.assert_allclose(x.grad, [12.0])  # 6 + 6
     x.grad = None
-    T.backward(T.sum_all(T.hadamard(x, x)))
+    T.backward(scalar_sum(T.hadamard(x, x)))
     np.testing.assert_allclose(x.grad, [6.0])
 
 
@@ -241,7 +240,7 @@ def test_each_node_visited_once():
 
     y.node.pullback = counting
     z = T.add(y, y)  # y consumed twice; its pullback must still run once
-    T.backward(T.sum_all(z))
+    T.backward(scalar_sum(z))
     assert calls["n"] == 1
     np.testing.assert_allclose(x.grad, [4.0, 8.0])
 
@@ -249,7 +248,7 @@ def test_each_node_visited_once():
 def test_interior_grads_released_leaf_grads_kept():
     x = T.Tensor(np.ones(3), requires_grad=True)
     h = T.scale(x, 2.0)
-    out = T.sum_all(h)
+    out = scalar_sum(h)
     T.backward(out)
     assert x.grad is not None
     assert h.grad is None
@@ -275,8 +274,8 @@ def test_backward_bitwise_deterministic():
                      requires_grad=True)
         w = T.Tensor(rng.normal(size=(4, 4)).astype(np.float32),
                      requires_grad=True)
-        h = T.gelu(T.matmul(x, w))
-        loss = T.mean_all(T.softmax(h))
+        h = T.sigmoid(T.matmul(x, w))
+        loss = T.mean_axis(T.reshape(T.softmax(h), (-1,)), 0)
         T.backward(loss)
         return x.grad.copy(), w.grad.copy()
 
@@ -302,12 +301,12 @@ def test_column_l2_norm_zero_column_raises_on_backward():
                  requires_grad=True)
     y = T.column_l2_norm(w)
     with pytest.raises(NumericError, match="column 0"):
-        T.backward(T.sum_all(y))
+        T.backward(scalar_sum(y))
 
 
 def test_finite_diff_on_quadratic():
     w = T.Tensor([1.0, -2.0, 0.5])
-    fd = T.finite_diff_grad(lambda t: T.sum_all(T.hadamard(t, t)).item(), w)
+    fd = T.finite_diff_grad(lambda t: scalar_sum(T.hadamard(t, t)).item(), w)
     np.testing.assert_allclose(fd.data, 2 * w.data, rtol=1e-3)
 
 
