@@ -237,7 +237,9 @@ def compare_strategies(cfg: ExperimentConfig, strategies, budgets,
                        seeds) -> ComparisonTable:
     """Cartesian sweep with one shared score estimate per seed.
 
-    A failing cell records its error and the sweep continues. When
+    Every cell's config is built before the first cell runs, so a bad
+    strategy, budget or seed raises ConfigError up front. A cell that fails
+    while running records its error and the sweep continues. When
     ``cfg.out_dir`` is set, each cell writes its artifacts under
     ``cells/<strategy>-<budget>-<seed>`` and the finished table lands in
     comparison.tsv / comparison.json.
@@ -248,6 +250,15 @@ def compare_strategies(cfg: ExperimentConfig, strategies, budgets,
     if not strategies or not budgets or not seeds:
         raise ContractError("strategies, budgets, and seeds must be non-empty")
 
+    runs = {(strategy, budget, seed): dataclasses.replace(
+                _rebind_seed(cfg, seed),
+                mask=dataclasses.replace(cfg.mask, strategy=strategy,
+                                         budget=budget, seed=seed),
+                out_dir=(os.path.join(cfg.out_dir, "cells",
+                                      f"{strategy}-{budget:g}-{seed}")
+                         if cfg.out_dir is not None else None))
+            for strategy in strategies for budget in budgets
+            for seed in seeds}
     score_cache: dict[int, FisherEstimate] = {}
 
     def scores_for(seed: int) -> FisherEstimate:
@@ -262,16 +273,10 @@ def compare_strategies(cfg: ExperimentConfig, strategies, budgets,
             error = None
             for seed in seeds:
                 try:
-                    run_cfg = dataclasses.replace(
-                        _rebind_seed(cfg, seed),
-                        mask=dataclasses.replace(cfg.mask, strategy=strategy,
-                                                 budget=budget, seed=seed),
-                        out_dir=(os.path.join(cfg.out_dir, "cells",
-                                              f"{strategy}-{budget:g}-{seed}")
-                                 if cfg.out_dir is not None else None))
                     shared = scores_for(seed) \
                         if strategy in _SCORED else None
-                    report = run_experiment(run_cfg, shared)
+                    report = run_experiment(runs[strategy, budget, seed],
+                                            shared)
                     accs.append(report.final_eval_accuracy)
                 except PeftLabError as e:
                     error = f"seed {seed}: {e}"

@@ -5,7 +5,13 @@ The score of coordinate j is the mean over N examples of the squared
 per-example loss gradient: (1/N) sum_i g_ij^2, accumulated in float64 in a
 canonical example order so the estimate does not depend on how the caller
 batched the data. Scores are computed once, before any training step, from
-true labels.
+true labels: the diagonal of the empirical Fisher.
+
+The per-example gradients come from one per-example backward pass per chunk
+of up to _CHUNK examples (``tensor.backward(loss, per_example=...)``), whose
+slice i equals the gradient of a batch-1 pass over example i bit for bit.
+Squares are added one example at a time in the canonical order, so neither
+the chunk size nor the chunk boundaries change a bit of the estimate.
 
 Selection strategies over a budget of k coordinates:
   fish     ones at the k largest scores
@@ -32,6 +38,10 @@ _MAGIC = b"PFL1"
 _KIND_SCORES = 1
 _KIND_MASK = 2
 _FORMAT_VERSION = 1
+
+# Examples per per-example backward pass: the scoring tape stays no larger
+# than a batch-32 training step's.
+_CHUNK = 32
 
 
 @dataclass
@@ -93,11 +103,18 @@ def estimate_fisher(model, dataset, num_samples: int = 128,
     """Mean squared per-example gradient over the model's flat adapter view.
 
     ``model`` needs two methods: ``fisher_parameters()`` returning the flat
-    view, and ``example_nll(token_row, label)`` returning a scalar loss.
+    view, and ``batch_nll(token_rows, labels)`` returning the scalar sum of
+    the per-example losses, built on inputs whose ``example_axis`` is set.
     ``dataset`` is a list of batches carrying true labels; examples are
-    re-sorted canonically (by token bytes, then label) before the first
-    ``num_samples`` are consumed, so any batching of the same example set
-    yields the identical estimate.
+    re-sorted canonically (by token bytes, then label) and the first
+    ``num_samples`` are scored, so any batching of the same example set
+    yields the identical estimate. They are the first in that order, not a
+    uniform sample of the split, when ``num_samples`` is smaller than it.
+
+    The examples go through in chunks of up to _CHUNK, one forward and one
+    per-example backward pass each, which yields every example's gradient
+    over the flat view; only those leaves get gradients, and no ``.grad``
+    is written.
     """
     if num_samples < 1:
         raise ConfigError(f"num_samples must be >= 1, got {num_samples}")
@@ -111,16 +128,25 @@ def estimate_fisher(model, dataset, num_samples: int = 128,
                    key=lambda j: (rows[j].tobytes(), int(labels[j])))
 
     theta = model.fisher_parameters()
+    leaves = theta.tensors()
     acc = np.zeros(theta.length, dtype=np.float64)
-    for i, j in enumerate(order[:num_samples]):
-        theta.zero_grads()
-        loss = model.example_nll(rows[j], int(labels[j]))
-        T.backward(loss)
-        g = theta.grad_vector().astype(np.float64)
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient on sample {i}")
-        acc += g * g
-    theta.zero_grads()
+    for start in range(0, num_samples, _CHUNK):
+        chunk = order[start:min(start + _CHUNK, num_samples)]
+        # the tape is freed when backward returns: no name holds the loss
+        per_leaf = T.backward(model.batch_nll(rows[chunk], labels[chunk]),
+                              per_example=leaves)
+        g = np.zeros((len(chunk), theta.length), dtype=np.float64)
+        for seg, gl in zip(theta.segments, per_leaf):
+            if gl is not None:
+                g[:, seg.start:seg.stop] = gl.reshape(len(chunk), -1)
+        bad = ~np.all(np.isfinite(g), axis=1)
+        if bad.any():
+            raise NumericError(f"non-finite gradient on sample "
+                               f"{start + int(np.argmax(bad))}")
+        g *= g
+        for row in g:  # one example at a time, in the canonical order
+            acc += row
+        del per_leaf, g  # not held through the next chunk's forward pass
     scores = (acc / num_samples).astype(np.float32)
     return FisherEstimate(scores, num_samples, config_hash)
 

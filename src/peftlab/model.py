@@ -193,9 +193,10 @@ class TransformerModel:
 
     # -- objectives -----------------------------------------------------------
 
-    def example_nll(self, token_row: np.ndarray, label: int) -> Tensor:
-        """Loss of one example; the unit the Fisher estimate is built from."""
-        batch = Batch(np.asarray(token_row)[None, :], np.asarray([label]))
+    def batch_nll(self, token_rows: np.ndarray, labels: np.ndarray) -> Tensor:
+        """Summed loss of a batch of examples, one term per example: the
+        objective the score estimate takes per-example gradients of."""
+        batch = Batch(token_rows, labels)
         return T.log_softmax_nll(forward(self, batch), batch.labels, "sum")
 
     def fisher_parameters(self):
@@ -249,6 +250,18 @@ def _merge_heads(x: Tensor) -> Tensor:
     return T.reshape(T.transpose(x, (0, 2, 1, 3)), (b, s, h * hd))
 
 
+def _prefix_rows(p: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """Prefix rows [H, l, head_dim] repeated for each example of the batch.
+
+    Axis 0 of the result is the batch, so it is marked as the example axis:
+    a per-example backward then keeps each example's share of the prefix
+    gradient apart instead of summing the copies.
+    """
+    rows = T.broadcast_to(T.reshape(p, (1,) + p.shape), shape)
+    rows.example_axis = True
+    return rows
+
+
 def _gated_prefix_softmax(scores: Tensor, n_prefix: int, gate: Tensor) -> Tensor:
     """Softmax whose un-normalized prefix columns are scaled by the gate.
 
@@ -300,10 +313,8 @@ def forward(model: TransformerModel, batch: Batch) -> Tensor:
             p_k, p_v, gate = pref
             n_prefix = p_k.shape[1]
             shape = (b, cfg.num_heads, n_prefix, cfg.head_dim)
-            kh = T.concat((T.broadcast_to(T.reshape(p_k, (1,) + p_k.shape),
-                                          shape), kh), axis=-2)
-            vh = T.concat((T.broadcast_to(T.reshape(p_v, (1,) + p_v.shape),
-                                          shape), vh), axis=-2)
+            kh = T.concat((_prefix_rows(p_k, shape), kh), axis=-2)
+            vh = T.concat((_prefix_rows(p_v, shape), vh), axis=-2)
 
         scores = T.scale(T.matmul(qh, T.transpose(kh)), inv_sqrt)
         if gate is not None:

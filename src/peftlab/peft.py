@@ -469,6 +469,22 @@ class Ia3Module(PeftModule):
         return T.hadamard(h, scales["FFN"])
 
 
+def _gate_lookup(gates: dict[tuple[int, str], Tensor], name: str):
+    """A UniPELT part's gate provider: reads the composite's gate cache.
+
+    It holds the cache, not the composite, so parts and composite form no
+    reference cycle: a dropped model is freed at once, with the tape its
+    cached gates still reach, instead of when the cycle collector runs.
+    """
+    def gate(layer: int) -> Tensor:
+        g = gates.get((layer, name))
+        if g is None:
+            raise ContractError(f"gate for layer {layer}/{name} not computed; "
+                                f"begin_layer did not run")
+        return g
+    return gate
+
+
 class UniPeltModule(PeftModule):
     """Gated combination of the lora, adapter, and prefix submodules.
 
@@ -497,15 +513,15 @@ class UniPeltModule(PeftModule):
 
         if "lora" in cfg.unipelt_submodules:
             sub = LoraModule(model, cfg,
-                             gate_provider=lambda li: self._gate(li, "lora"))
+                             gate_provider=_gate_lookup(self._gates, "lora"))
             self.submodules["lora"] = sub
         if "adapter" in cfg.unipelt_submodules:
             sub = AdapterModule(model, cfg,
-                                gate_provider=lambda li: self._gate(li, "adapter"))
+                                gate_provider=_gate_lookup(self._gates, "adapter"))
             self.submodules["adapter"] = sub
         if "prefix" in cfg.unipelt_submodules:
             sub = PrefixModule(model, cfg,
-                               gate_provider=lambda li: self._gate(li, "prefix"))
+                               gate_provider=_gate_lookup(self._gates, "prefix"))
             self.submodules["prefix"] = sub
 
         for sub in self.submodules.values():
@@ -519,13 +535,6 @@ class UniPeltModule(PeftModule):
                 if cfg.include_gates:
                     raw.append((li, f"gate_{name}", "w", wg))
         super().__init__(cfg, raw)
-
-    def _gate(self, layer: int, name: str) -> Tensor:
-        gate = self._gates.get((layer, name))
-        if gate is None:
-            raise ContractError(f"gate for layer {layer}/{name} not computed; "
-                                f"begin_layer did not run")
-        return gate
 
     def begin_layer(self, layer, x):
         b = x.shape[0]

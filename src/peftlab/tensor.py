@@ -11,8 +11,16 @@ true when ``backward`` runs, and return ``None`` for the others, so a frozen
 weight costs no ``x^T g`` product. The cotangents that are computed do the
 same arithmetic whichever inputs are frozen, so they keep their bits.
 
-A single graph must stay on one thread; independent graphs may run in
-parallel. Tensors with ``requires_grad=False`` never enter the tape.
+A tensor whose ``example_axis`` is set holds one example per index of axis 0,
+and slice i reaches the loss only through example i. ``embedding`` sets it on
+its output and every op passes it on to its output, so the forward pass
+records which tensors carry examples. ``backward(loss, per_example=leaves)``
+uses the record to return each leaf's gradient per example; see there.
+
+A single graph must stay on one thread. ``no_grad`` and a per-example
+``backward`` switch process-wide state while they run, so no other graph
+may record or run backward concurrently with them. Tensors with
+``requires_grad=False`` never enter the tape.
 """
 
 from __future__ import annotations
@@ -52,6 +60,9 @@ __all__ = [
 ]
 
 _grad_enabled = True
+# True while a per-example backward runs: pullbacks then keep a leading
+# example axis on the cotangent of every input without the example axis.
+_per_example = False
 
 
 class no_grad:
@@ -74,16 +85,18 @@ class Tensor:
 
     ``grad`` is populated only on leaves (tensors the user created with
     ``requires_grad=True``); intermediate gradients are released as soon as
-    backward consumes them.
+    backward consumes them. ``example_axis`` marks axis 0 as the example
+    axis (see the module docstring).
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "node")
+    __slots__ = ("data", "requires_grad", "grad", "node", "example_axis")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float32)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self.node: _Node | None = None
+        self.example_axis = False
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -126,29 +139,71 @@ class _Node:
 def _record(op: str, data: np.ndarray, inputs: tuple[Tensor, ...],
             pullback: Callable[[np.ndarray], tuple]) -> Tensor:
     out = Tensor(data)
+    for t in inputs:  # a loop, not any(): this runs for every op
+        if t.example_axis:
+            out.example_axis = True
+            break
     if _grad_enabled and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out.node = _Node(op, inputs, pullback)
     return out
 
 
-def _sum_to_shape(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Undo numpy broadcasting: sum a cotangent down to ``shape`` in float64.
+def _lead(g: np.ndarray, t: Tensor) -> tuple[int, ...]:
+    """The axes that input ``t``'s cotangent carries in front of ``t.shape``.
+
+    In a per-example backward, an input without the example axis gets a
+    cotangent of shape ``(N,) + t.shape`` whose slice i is the gradient of
+    example i's term. N is read off ``g``, the output cotangent: its axis 0
+    is the example axis, whether the output carries that axis or the
+    leading one. Otherwise ``()``.
+    """
+    return g.shape[:1] if _per_example and not t.example_axis else ()
+
+
+def _shift(axis: int, lead: tuple[int, ...]) -> int:
+    """``axis`` of a tensor, as an axis of its cotangent with ``lead``."""
+    return axis + len(lead) if axis >= 0 else axis
+
+
+def _sum_to(grad: np.ndarray, t: Tensor) -> np.ndarray:
+    """Undo numpy broadcasting: sum input ``t``'s share of a cotangent down
+    to ``t.shape`` in float64.
+
+    In a per-example backward, an input without the example axis gets
+    ``[N, *t.shape]``: ``grad``'s axis 0 is the example axis and is kept.
+    When ``t`` spans the output's example axis, that axis of ``t`` must be
+    broadcast (size 1); example i's slice then sits in ``t``'s axis 0.
 
     With nothing to reduce, a float32 ``grad`` is returned as is (the float64
     round trip would be exact), so a pullback that hands one cotangent to two
     inputs this way must copy one of them.
     """
+    shape = t.shape
+    keep = 0
+    if _per_example and not t.example_axis:
+        keep = 1
+        if len(shape) == grad.ndim:
+            if shape[0] != 1:
+                raise ContractError(f"an input of shape {shape} without the "
+                                    f"example axis spans it")
+            shape = shape[1:]
+        shape = grad.shape[:1] + shape
     if grad.shape == shape:
-        return grad if grad.dtype == np.float32 else grad.astype(np.float32)
-    grad64 = np.asarray(grad, dtype=np.float64)
-    extra = grad64.ndim - len(shape)
-    if extra > 0:
-        grad64 = grad64.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad64.shape[i] != 1)
-    if axes:
-        grad64 = grad64.sum(axis=axes, keepdims=True)
-    return grad64.astype(np.float32).reshape(shape)
+        out = grad if grad.dtype == np.float32 else grad.astype(np.float32)
+    else:
+        grad64 = np.asarray(grad, dtype=np.float64)
+        extra = grad64.ndim - len(shape)
+        if extra > 0:
+            grad64 = grad64.sum(axis=tuple(range(keep, keep + extra)))
+        axes = tuple(i for i, n in enumerate(shape)
+                     if i >= keep and n == 1 and grad64.shape[i] != 1)
+        if axes:
+            grad64 = grad64.sum(axis=axes, keepdims=True)
+        out = grad64.astype(np.float32).reshape(shape)
+    if keep and out.ndim == t.ndim:  # put back t's size-1 spanning axis
+        return out.reshape(grad.shape[:1] + t.shape)
+    return out
 
 
 def _topo_order(output: Tensor) -> list[Tensor]:
@@ -181,35 +236,100 @@ def _topo_order(output: Tensor) -> list[Tensor]:
     return order
 
 
-def backward(loss: Tensor) -> None:
+def backward(loss: Tensor, per_example: Sequence[Tensor] | None = None):
     """Accumulate d(loss)/d(leaf) into ``.grad`` of every requiring leaf.
 
     ``loss`` must be scalar. Each node is visited exactly once; cotangents of
     interior tensors are dropped once consumed. Grads add onto whatever is
     already in ``.grad``, so callers zero leaves between backward passes.
+
+    Per-example mode: when ``loss`` sums one term per example of a batch of
+    N and ``per_example`` lists leaves without the example axis, the pass
+    writes no ``.grad``. It returns one ``[N, *leaf.shape]`` float32 array
+    per listed leaf, whose slice i is the gradient of example i's term, or
+    None where the loss does not reach the leaf. Tensors that lead to no
+    listed leaf count as frozen for the pass, so nothing else is computed.
+    A cotangent reduced onto a tensor without the example axis keeps the
+    axis instead of summing it away; the arithmetic per example is that of
+    a batch-1 pass. Ops must not mix examples (slice i of an output depends
+    on slice i of its inputs with the example axis only); an op that cannot
+    keep the axis for an input raises ContractError.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
+    if per_example is not None:
+        return _backward_per_example(loss, tuple(per_example))
     if loss.node is None:
         if loss.requires_grad:
             seed = np.ones(loss.shape, dtype=np.float32)
             loss.grad = seed if loss.grad is None else loss.grad + seed
-        return
+        return None
+    _replay(loss, _topo_order(loss))
+    return None
+
+
+def _replay(loss: Tensor, order: list[Tensor]) -> dict[int, np.ndarray]:
+    """Run every pullback once, consumers before their inputs.
+
+    Leaf cotangents add onto ``.grad``, except in a per-example pass, where
+    they stay in the returned dict (keyed by id) and each cotangent's shape
+    is checked against its input's example axis.
+    """
     cotangents: dict[int, np.ndarray] = {
         id(loss): np.ones(loss.shape, dtype=np.float32)
     }
-    for t in reversed(_topo_order(loss)):
+    per_example = _per_example
+    for t in reversed(order):
         g = cotangents.pop(id(t), None)
         if g is None:
             continue
         for inp, gi in zip(t.node.inputs, t.node.pullback(g)):
             if gi is None or not inp.requires_grad:
                 continue
-            if inp.node is None:
+            if per_example:
+                lead = 0 if inp.example_axis else 1
+                if gi.ndim != inp.ndim + lead or gi.shape[lead:] != inp.shape:
+                    raise ContractError(
+                        f"'{t.node.op}' cannot keep the example axis in the "
+                        f"cotangent of an input of shape {inp.shape}")
+            elif inp.node is None:
                 inp.grad = gi if inp.grad is None else inp.grad + gi
-            else:
-                acc = cotangents.get(id(inp))
-                cotangents[id(inp)] = gi if acc is None else acc + gi
+                continue
+            acc = cotangents.get(id(inp))
+            cotangents[id(inp)] = gi if acc is None else acc + gi
+    return cotangents
+
+
+def _backward_per_example(loss: Tensor, leaves: tuple[Tensor, ...]) -> list:
+    global _per_example
+    if not loss.example_axis:
+        raise ContractError("a per-example backward needs a loss over "
+                            "examples; no tensor it depends on carries the "
+                            "example axis")
+    if any(t.node is not None or t.example_axis for t in leaves):
+        raise ContractError("per-example gradients are taken for leaves "
+                            "without the example axis")
+    if loss.node is None:
+        return [None] * len(leaves)
+    order = _topo_order(loss)
+    needed = {id(t) for t in leaves}
+    for t in order:
+        if any(id(i) in needed for i in t.node.inputs):
+            needed.add(id(t))
+    tape = {id(i): i for t in order for i in t.node.inputs}
+    tape.update((id(t), t) for t in order)
+    # pullbacks skip inputs that do not require grad: hide the rest
+    hidden = [t for k, t in tape.items() if t.requires_grad and k not in needed]
+    for t in hidden:
+        t.requires_grad = False
+    _per_example = True
+    try:
+        cotangents = _replay(loss, order)
+    finally:
+        _per_example = False
+        for t in hidden:
+            t.requires_grad = True
+    return [cotangents.get(id(t)) for t in leaves]
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +345,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     a64 = a.data.astype(np.float64)
     b64 = b.data.astype(np.float64)
     out = np.matmul(a64, b64).astype(np.float32)
+    # each float64 operand copy is held only for the cotangent that uses it
+    held_a = a64 if b.requires_grad else None
+    held_b = b64 if a.requires_grad else None
 
     def pull(g: np.ndarray):
         g64 = g.astype(np.float64)
         ga = gb = None
         if a.requires_grad:
-            ga = _sum_to_shape(np.matmul(g64, np.swapaxes(b64, -1, -2)), a.shape)
+            bt = held_b if held_b is not None else b.data.astype(np.float64)
+            ga = _sum_to(np.matmul(g64, np.swapaxes(bt, -1, -2)), a)
         if b.requires_grad:
-            gb = _sum_to_shape(np.matmul(np.swapaxes(a64, -1, -2), g64), b.shape)
+            at = held_a if held_a is not None else a.data.astype(np.float64)
+            if _per_example and a.ndim == 2 and a.example_axis \
+                    and not b.example_axis:
+                # rows of a are examples: one outer product per example
+                gb = _sum_to(at[:, :, None] * g64[:, None, :], b)
+            else:
+                gb = _sum_to(np.matmul(np.swapaxes(at, -1, -2), g64), b)
         return ga, gb
 
     return _record("matmul", out, (a, b), pull)
@@ -242,8 +372,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def pull(g: np.ndarray):
-        ga = _sum_to_shape(g, a.shape) if a.requires_grad else None
-        gb = _sum_to_shape(g, b.shape) if b.requires_grad else None
+        ga = _sum_to(g, a) if a.requires_grad else None
+        gb = _sum_to(g, b) if b.requires_grad else None
         if gb is not None and gb is ga:
             gb = gb.copy()  # two leaves must not share one .grad array
         return ga, gb
@@ -255,8 +385,8 @@ def subtract(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
 
     def pull(g: np.ndarray):
-        return (_sum_to_shape(g, a.shape) if a.requires_grad else None,
-                _sum_to_shape(-g, b.shape) if b.requires_grad else None)
+        return (_sum_to(g, a) if a.requires_grad else None,
+                _sum_to(-g, b) if b.requires_grad else None)
 
     return _record("subtract", out, (a, b), pull)
 
@@ -269,8 +399,8 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
 
     def pull(g: np.ndarray):
         g64 = g.astype(np.float64)
-        ga = _sum_to_shape(g64 * b.data, a.shape) if a.requires_grad else None
-        gb = _sum_to_shape(g64 * a.data, b.shape) if b.requires_grad else None
+        ga = _sum_to(g64 * b.data, a) if a.requires_grad else None
+        gb = _sum_to(g64 * a.data, b) if b.requires_grad else None
         return ga, gb
 
     return _record("hadamard", out, (a, b), pull)
@@ -294,10 +424,9 @@ def divide(a: Tensor, b: Tensor) -> Tensor:
         b64 = b.data.astype(np.float64)
         ga = gb = None
         if a.requires_grad:
-            ga = _sum_to_shape(g64 / b64, a.shape)
+            ga = _sum_to(g64 / b64, a)
         if b.requires_grad:
-            gb = _sum_to_shape(-g64 * a.data.astype(np.float64) / (b64 * b64),
-                               b.shape)
+            gb = _sum_to(-g64 * a.data.astype(np.float64) / (b64 * b64), b)
         return ga, gb
 
     return _record("divide", out, (a, b), pull)
@@ -443,9 +572,12 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     sizes = [t.shape[axis] for t in parts]
     splits = np.cumsum(sizes)[:-1]
 
+    marked = any(t.example_axis for t in parts)
+
     def pull(g: np.ndarray):
+        ax = axis if marked else _shift(axis, _lead(g, parts[0]))
         return tuple(np.ascontiguousarray(piece) if t.requires_grad else None
-                     for t, piece in zip(parts, np.split(g, splits, axis=axis)))
+                     for t, piece in zip(parts, np.split(g, splits, axis=ax)))
 
     return _record("concat", out, parts, pull)
 
@@ -457,8 +589,9 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     out = np.ascontiguousarray(a.data[idx])
 
     def pull(g: np.ndarray):
-        full = np.zeros(a.shape, dtype=np.float32)
-        full[idx] = g
+        lead = _lead(g, a)
+        full = np.zeros(lead + a.shape, dtype=np.float32)
+        full[(slice(None),) * len(lead) + idx] = g
         return (full,)
 
     return _record("slice_axis", out, (a,), pull)
@@ -468,7 +601,7 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = a.data.reshape(shape)
 
     def pull(g: np.ndarray):
-        return (g.reshape(a.shape),)
+        return (g.reshape(_lead(g, a) + a.shape),)
 
     return _record("reshape", out, (a,), pull)
 
@@ -481,7 +614,9 @@ def transpose(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
     inverse = np.argsort(axes)
 
     def pull(g: np.ndarray):
-        return (np.ascontiguousarray(np.transpose(g, inverse)),)
+        k = len(_lead(g, a))
+        perm = tuple(range(k)) + tuple(int(i) + k for i in inverse)
+        return (np.ascontiguousarray(np.transpose(g, perm)),)
 
     return _record("transpose", out, (a,), pull)
 
@@ -500,14 +635,16 @@ def embedding(table: Tensor, ids) -> Tensor:
         np.add.at(acc, idx, g.astype(np.float64))
         return (acc.astype(np.float32),)
 
-    return _record("embedding", out, (table,), pull)
+    rows = _record("embedding", out, (table,), pull)
+    rows.example_axis = True  # one example per row of ids
+    return rows
 
 
 def broadcast_to(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = np.ascontiguousarray(np.broadcast_to(a.data, shape))
 
     def pull(g: np.ndarray):
-        return (_sum_to_shape(g, a.shape),)
+        return (_sum_to(g, a),)
 
     return _record("broadcast_to", out, (a,), pull)
 
@@ -516,8 +653,9 @@ def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     out = a.data.astype(np.float64).sum(axis=axis, keepdims=keepdims)
 
     def pull(g: np.ndarray):
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.shape).astype(np.float32).copy(),)
+        lead = _lead(g, a)
+        gg = g if keepdims else np.expand_dims(g, _shift(axis, lead))
+        return (np.broadcast_to(gg, lead + a.shape).astype(np.float32).copy(),)
 
     return _record("sum_axis", out.astype(np.float32), (a,), pull)
 
@@ -527,8 +665,10 @@ def mean_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     out = a.data.astype(np.float64).sum(axis=axis, keepdims=keepdims) / n
 
     def pull(g: np.ndarray):
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return ((np.broadcast_to(gg, a.shape) / np.float32(n)).astype(np.float32),)
+        lead = _lead(g, a)
+        gg = g if keepdims else np.expand_dims(g, _shift(axis, lead))
+        return ((np.broadcast_to(gg, lead + a.shape) / np.float32(n))
+                .astype(np.float32),)
 
     return _record("mean_axis", out.astype(np.float32), (a,), pull)
 

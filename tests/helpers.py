@@ -1,10 +1,12 @@
-"""Shared test utilities: gradient checking against central differences."""
+"""Shared test utilities: gradient checking against central differences,
+and the batch-1 loss that sequential oracles are built from."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from peftlab import tensor as T
+from peftlab.model import Batch, forward
 
 
 def random_inputs(shapes, seed, lo=-1.5, hi=1.5, avoid_kinks=False):
@@ -59,3 +61,9 @@ def check_grads(build, arrays, seed, rtol=1e-3, step=1e-3):
         assert grad_close(leaf.grad, fd.data, rtol=rtol), (
             f"input {i}: backward disagrees with finite differences\n"
             f"backward={leaf.grad}\nfinite_diff={fd.data}")
+
+
+def example_nll(model, row, label):
+    """Loss of one example through a batch-1 forward pass."""
+    batch = Batch(np.asarray(row)[None, :], np.asarray([label]))
+    return T.log_softmax_nll(forward(model, batch), batch.labels, "sum")

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import check_grads, random_inputs
+from helpers import check_grads, example_nll, random_inputs
 from peftlab import tensor as T
 from peftlab.checkpoint import (atomic_write_text, load_checkpoint,
                                 save_checkpoint)
@@ -129,7 +129,7 @@ def test_criterion_1_gradient_correctness():
     row = rng.integers(0, TINY.vocab_size, size=TINY.max_seq_len)
     label = 1
 
-    loss = model.example_nll(row, label)
+    loss = example_nll(model, row, label)
     T.backward(loss)
     checked = 0
     for pname, tensor in model.named_parameters():
@@ -141,9 +141,9 @@ def test_criterion_1_gradient_correctness():
             keep = flat[i]
             with T.no_grad():
                 flat[i] = keep + h
-                up = model.example_nll(row, label).item()
+                up = example_nll(model, row, label).item()
                 flat[i] = keep - h
-                down = model.example_nll(row, label).item()
+                down = example_nll(model, row, label).item()
             flat[i] = keep
             fd = (up - down) / (2.0 * float(h))
             got = float(grad[i])
@@ -172,12 +172,13 @@ class _Logistic:
     def fisher_parameters(self):
         return self._theta
 
-    def example_nll(self, row, label):
-        x = T.Tensor(np.asarray(row, dtype=np.float32).reshape(1, -1))
+    def batch_nll(self, rows, labels):
+        x = T.Tensor(rows)
+        x.example_axis = True
         z = T.matmul(x, T.reshape(self.w, (-1, 1)))
-        logits = T.concat((T.Tensor(np.zeros((1, 1), dtype=np.float32)), z),
-                          axis=1)
-        return T.log_softmax_nll(logits, np.array([int(label)]), "sum")
+        logits = T.concat((T.Tensor(np.zeros((len(x.data), 1),
+                                             dtype=np.float32)), z), axis=1)
+        return T.log_softmax_nll(logits, np.asarray(labels), "sum")
 
 
 def _fd_score_oracle(model, examples, h=3e-3):
@@ -186,17 +187,18 @@ def _fd_score_oracle(model, examples, h=3e-3):
     base = theta.to_vector().astype(np.float64)
     acc = np.zeros(theta.length, dtype=np.float64)
     for row, label in examples:
+        rows, labels = np.asarray(row)[None, :], np.array([label])
         g = np.zeros(theta.length, dtype=np.float64)
         for i in range(theta.length):
             stepv = base.copy()
             stepv[i] = base[i] + h
             theta.set_vector(stepv.astype(np.float32))
             with T.no_grad():
-                up = model.example_nll(row, label).item()
+                up = model.batch_nll(rows, labels).item()
             stepv[i] = base[i] - h
             theta.set_vector(stepv.astype(np.float32))
             with T.no_grad():
-                down = model.example_nll(row, label).item()
+                down = model.batch_nll(rows, labels).item()
             g[i] = (up - down) / (2.0 * h)
         acc += g * g
     theta.set_vector(base.astype(np.float32))

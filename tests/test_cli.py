@@ -106,6 +106,21 @@ def test_negative_seed_flag_is_validation_error(tmp_path, cfg_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "3,-1", "seed must be >= 0"),
+    ("--strategy", "fish,lottery", "lottery"),
+    ("--budget", "0.5,0", "budget"),
+])
+def test_compare_bad_list_is_validation_error(tmp_path, cfg_path, capsys,
+                                              flag, value, message):
+    argv = ["compare", "--config", cfg_path, "--strategy", "fish",
+            "--budget", "0.5", "--seed", "3", "--out", str(tmp_path / "sw")]
+    argv[argv.index(flag) + 1] = value
+    assert cli(argv) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()
+
+
 def test_negative_seed_in_config_is_validation_error(tmp_path, cfg_path,
                                                      capsys):
     with open(cfg_path) as fh:
@@ -181,11 +196,17 @@ def test_compare_writes_table(tmp_path, cfg_path, capsys):
 
 
 def test_compare_cell_failure_exits_2(tmp_path, cfg_path, capsys):
-    assert cli(["compare", "--config", cfg_path,
-                "--strategy", "fish,lottery", "--budget", "0.5",
+    # more score samples than the 48-example split: the fish cell fails
+    with open(cfg_path) as fh:
+        doc = json.load(fh)
+    doc["mask"]["fisher_samples"] = 1000
+    path = tmp_path / "samples.json"
+    path.write_text(json.dumps(doc))
+    assert cli(["compare", "--config", str(path),
+                "--strategy", "fish,random", "--budget", "0.5",
                 "--seed", "3"]) == 2
     err = capsys.readouterr().err
-    assert "lottery" in err
+    assert "exceeds" in err
 
 
 def test_report_renders_stored_runs(tmp_path, cfg_path, capsys):

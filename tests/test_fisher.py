@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import example_nll
 from peftlab import tensor as T
-from peftlab.errors import CheckpointError, ConfigError, ContractError
+from peftlab.errors import (CheckpointError, ConfigError, ContractError,
+                            NumericError)
 from peftlab.fisher import (FisherEstimate, SparsityMask, budget_to_k,
                             estimate_fisher, load_mask, load_scores,
                             mask_gradients, save_mask, save_scores, select)
 from peftlab.model import ModelConfig, build_model
-from peftlab.peft import PeftConfig, ThetaTilde, attach
-from peftlab.tasks import generate_task
+from peftlab.peft import METHODS, PeftConfig, ThetaTilde, attach
+from peftlab.tasks import flatten, generate_task
 
 SMALL = ModelConfig(num_layers=1, hidden_dim=8, num_heads=2, ffn_dim=16,
                     vocab_size=8, max_seq_len=6, num_classes=2, seed=5)
@@ -30,12 +32,13 @@ class TinyLogistic:
     def fisher_parameters(self):
         return self._theta
 
-    def example_nll(self, row, label):
-        x = T.Tensor(np.asarray(row, dtype=np.float32).reshape(1, -1))
+    def batch_nll(self, rows, labels):
+        x = T.Tensor(rows)
+        x.example_axis = True
         z = T.matmul(x, T.reshape(self.w, (-1, 1)))
-        logits = T.concat((T.Tensor(np.zeros((1, 1), dtype=np.float32)), z),
-                          axis=1)
-        return T.log_softmax_nll(logits, np.array([int(label)]), "sum")
+        logits = T.concat((T.Tensor(np.zeros((len(x.data), 1),
+                                             dtype=np.float32)), z), axis=1)
+        return T.log_softmax_nll(logits, np.asarray(labels), "sum")
 
 
 def logistic_dataset(n=32, seed=0):
@@ -68,21 +71,54 @@ def lora_fixture():
     return model, module, task[0]
 
 
-def test_fisher_matches_brute_force_loop():
-    model, module, data = lora_fixture()
-    est = estimate_fisher(model, data, num_samples=16)
-
+def batch1_scores(model, data, num_samples):
+    """The sequential oracle: one batch-1 backward pass per example, in the
+    canonical order, squares summed in float64."""
     examples = [(row, int(label)) for b in data
                 for row, label in zip(b.token_ids, b.labels)]
     examples.sort(key=lambda e: (e[0].tobytes(), e[1]))
-    theta = module.theta_tilde()
+    theta = model.fisher_parameters()
     acc = np.zeros(theta.length, dtype=np.float64)
-    for row, label in examples[:16]:
+    for row, label in examples[:num_samples]:
         theta.zero_grads()
-        T.backward(model.example_nll(row, label))
+        T.backward(example_nll(model, row, label))
         g = theta.grad_vector().astype(np.float64)
         acc += g * g
-    np.testing.assert_array_equal(est.scores, (acc / 16).astype(np.float32))
+    model.zero_grads()
+    return (acc / num_samples).astype(np.float32)
+
+
+def test_fisher_matches_brute_force_loop():
+    model, module, data = lora_fixture()
+    est = estimate_fisher(model, data, num_samples=16)
+    np.testing.assert_array_equal(est.scores, batch1_scores(model, data, 16))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_batched_scores_equal_batch1_oracle(method):
+    """Chunked per-example passes give the sequential estimate bitwise.
+
+    SMALL is 8 wide, so a chunk of 8 examples has as many rows as the model
+    has features; 40 samples span a chunk boundary (32 + 8) and 1 sample is
+    a chunk of one. An example axis guessed from shapes fails one of them.
+    UniPELT runs with its gates in the flat view (the default).
+    """
+    model = build_model(SMALL)
+    module = attach(model, PeftConfig(method=method, rank=2, prefix_len=3,
+                                      target_weights=("W_Q", "W_K", "W_V",
+                                                      "W_O", "FFN"),
+                                      target_layers=(1,)))
+    rng = np.random.default_rng(11)
+    for _, t in module.theta_tilde().entries + model.head_parameters():
+        t.data[:] = t.data + rng.normal(0.0, 0.3, size=t.shape)
+    data = generate_task("parity", 48, 3, vocab_size=8, seq_len=6,
+                         batch_size=8)[0]
+    for n in (40, 8, 1):
+        est = estimate_fisher(model, data, num_samples=n)
+        assert all(t.grad is None for _, t in module.theta_tilde().entries
+                   + model.head_parameters())
+        np.testing.assert_array_equal(est.scores,
+                                      batch1_scores(model, data, n))
 
 
 def test_fisher_batching_invariance():
@@ -105,6 +141,19 @@ def test_fisher_uses_true_labels():
                for b in data]
     b = estimate_fisher(model, flipped, num_samples=16)
     assert a.scores.tobytes() != b.scores.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_gradient_names_its_sample():
+    x, y = logistic_dataset(n=40)
+    x[35] = np.inf  # the 36th example in the order below, in chunk 2
+    model = TinyLogistic([0.7, -1.2])
+    data = [SimpleNamespace(token_ids=x, labels=y)]
+    rows, labels = flatten(data)
+    order = sorted(range(40), key=lambda j: (rows[j].tobytes(), labels[j]))
+    with pytest.raises(NumericError,
+                       match=f"sample {order.index(35)}$"):
+        estimate_fisher(model, data, num_samples=40)
 
 
 def test_fisher_properties_and_validation():

@@ -1,5 +1,8 @@
 """Adapter modules: flat-view ordering, init identities, hook gradients."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -111,6 +114,22 @@ def test_unipelt_composite_view_is_the_only_buffer():
             seg = segment_of[id(t)]
             assert np.shares_memory(t.data, theta.data), (name, group, part)
             assert t.data.tobytes() == vec[seg.start:seg.stop].tobytes()
+
+
+def test_dropped_unipelt_model_is_freed_without_the_cycle_collector():
+    """Its cached gates reach the last forward pass's tape, so a model kept
+    alive by a reference cycle would hold that tape until gc runs."""
+    m = build_model(SMALL)
+    mod = attach(m, PeftConfig(method="unipelt", rank=2, prefix_len=3))
+    T.backward(T.log_softmax_nll(forward(m, small_batch()),
+                                 small_batch().labels))
+    refs = [weakref.ref(m), weakref.ref(mod)]
+    gc.disable()
+    try:
+        del m, mod
+        assert all(r() is None for r in refs)
+    finally:
+        gc.enable()
 
 
 def test_target_layers_count_from_top():

@@ -199,6 +199,89 @@ def test_frozen_input_gets_no_cotangent_and_the_rest_keep_their_bits(case):
             assert leaf.grad.tobytes() == full[i].grad.tobytes(), (frozen, i)
 
 
+def test_matmul_holds_no_copy_of_an_operand_no_cotangent_uses():
+    rng = np.random.default_rng(4)
+    a = T.Tensor(rng.normal(size=(32, 4, 16)), requires_grad=True)
+    b = T.Tensor(rng.normal(size=(16, 8)))  # frozen, as W0 is
+    out = T.matmul(a, b)
+    held = [c.cell_contents for c in out.node.pullback.__closure__]
+    assert not any(isinstance(v, np.ndarray) and v.dtype == np.float64
+                   and v.size == a.size for v in held)
+
+    g = rng.uniform(-1, 1, out.shape).astype(np.float32)
+    ga, gb = out.node.pullback(g)
+    assert gb is None
+    both = T.matmul(T.Tensor(a.data, requires_grad=True),
+                    T.Tensor(b.data, requires_grad=True))
+    want_a, want_b = both.node.pullback(g)
+    assert ga.tobytes() == want_a.tobytes()
+    # b starts requiring grad after the forward: a is recast from .data
+    b.requires_grad = True
+    ga, gb = out.node.pullback(g)
+    assert ga.tobytes() == want_a.tobytes()
+    assert gb.tobytes() == want_b.tobytes()
+
+
+def _marked(rows):
+    t = T.Tensor(rows)
+    t.example_axis = True
+    return t
+
+
+def _param_chain_loss(w, v, rows, labels):
+    """A loss whose parameters reach the examples only through nodes that
+    depend on parameters alone, one of each op that keeps the example axis
+    for them, and through a 2-D product with the examples' rows."""
+    x = _marked(rows)                                          # [N, 2, 4]
+    c = T.concat((w, T.slice_axis(w, 0, 0, 1)), axis=0)        # [4, 4]
+    d = T.reshape(T.transpose(T.reshape(c, (2, 8))), (4, 4))
+    m = T.sigmoid(T.mean_axis(d, 0, keepdims=True))           # [1, 4]
+    u = T.add(T.hadamard(d, m), T.column_l2_norm(T.exp(T.scale(d, 0.1))))
+    weight = T.subtract(T.divide(u, T.add(T.relu(d), T.Tensor(1.0))),
+                        T.softmax(d))
+    h = T.add(T.matmul(x, weight),
+              T.broadcast_to(T.reshape(v, (1, 4)), (2, 4)))    # [N, 2, 4]
+    z = T.matmul(T.mean_axis(h, 1), T.reshape(T.sum_axis(d, 1), (4, 1)))
+    logits = T.concat((T.Tensor(np.zeros((len(rows), 1))), z), axis=1)
+    return T.log_softmax_nll(logits, labels, "sum")
+
+
+def test_per_example_backward_equals_batch1_passes():
+    rng = np.random.default_rng(5)
+    w = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    v = T.Tensor(rng.normal(size=4), requires_grad=True)
+    other = T.Tensor(rng.normal(size=4), requires_grad=True)
+    rows = rng.normal(size=(5, 2, 4)).astype(np.float32)
+    labels = rng.integers(0, 2, size=5)
+
+    def loss_of(r, y):
+        return T.add(_param_chain_loss(w, v, r, y),
+                     T.hadamard(T.sum_axis(other, 0), T.Tensor(0.0)))
+
+    gw, gv = T.backward(loss_of(rows, labels), per_example=[w, v])
+    assert (gw.shape, gv.shape) == ((5, 3, 4), (5, 4))
+    assert w.grad is None and v.grad is None and other.grad is None
+    for i in range(5):
+        T.backward(loss_of(rows[i:i + 1], labels[i:i + 1]))
+        assert gw[i].tobytes() == w.grad.tobytes()
+        assert gv[i].tobytes() == v.grad.tobytes()
+        w.grad = v.grad = other.grad = None
+
+
+def test_per_example_backward_rejects_what_it_cannot_split():
+    w = T.Tensor(np.ones((2, 3)), requires_grad=True)
+    with pytest.raises(ContractError, match="example axis"):
+        T.backward(scalar_sum(w), per_example=[w])
+    x = _marked(np.ones((4, 3)))
+    with pytest.raises(ContractError, match="leaves"):
+        T.backward(scalar_sum(x), per_example=[x])
+    gamma = T.Tensor(np.ones(3), requires_grad=True)
+    loss = scalar_sum(T.layer_norm(x, gamma, T.Tensor(np.zeros(3))))
+    with pytest.raises(ContractError, match="layer_norm"):
+        T.backward(loss, per_example=[gamma])
+    assert gamma.requires_grad
+
+
 @pytest.mark.parametrize("second", ["leaf", "reshaped_leaf"])
 def test_pass_through_cotangents_do_not_alias(second):
     a = T.Tensor(np.ones((2, 3)), requires_grad=True)
