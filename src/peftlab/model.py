@@ -205,37 +205,39 @@ class TransformerModel:
         return self.peft.theta_tilde()
 
 
+def _draw(rng: np.random.Generator, *shape) -> Tensor:
+    return Tensor(rng.normal(0.0, INIT_STD, size=shape).astype(np.float32),
+                  requires_grad=True)
+
+
+def _zeros(*shape) -> Tensor:
+    return Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True)
+
+
+def _ones(*shape) -> Tensor:
+    return Tensor(np.ones(shape, dtype=np.float32), requires_grad=True)
+
+
 def build_model(cfg: ModelConfig) -> TransformerModel:
     """Seeded construction: weights ~ N(0, 0.02^2), biases zero, norms unit."""
     rng = np.random.default_rng(cfg.seed)
     d, f = cfg.hidden_dim, cfg.ffn_dim
-
-    def draw(*shape) -> Tensor:
-        return Tensor(rng.normal(0.0, INIT_STD, size=shape).astype(np.float32),
-                      requires_grad=True)
-
-    def zeros(*shape) -> Tensor:
-        return Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True)
-
-    def ones(*shape) -> Tensor:
-        return Tensor(np.ones(shape, dtype=np.float32), requires_grad=True)
-
-    embedding = draw(cfg.vocab_size, d)
-    pos_embedding = draw(cfg.max_seq_len, d)
+    embedding = _draw(rng, cfg.vocab_size, d)
+    pos_embedding = _draw(rng, cfg.max_seq_len, d)
     layers = []
     for _ in range(cfg.num_layers):
         layers.append(LayerParams(
-            W_Q=draw(d, d), b_Q=zeros(d),
-            W_K=draw(d, d), b_K=zeros(d),
-            W_V=draw(d, d), b_V=zeros(d),
-            W_O=draw(d, d), b_O=zeros(d),
-            FFN1=draw(d, f), b_FFN1=zeros(f),
-            FFN2=draw(f, d), b_FFN2=zeros(d),
-            ln1_g=ones(d), ln1_b=zeros(d),
-            ln2_g=ones(d), ln2_b=zeros(d),
+            W_Q=_draw(rng, d, d), b_Q=_zeros(d),
+            W_K=_draw(rng, d, d), b_K=_zeros(d),
+            W_V=_draw(rng, d, d), b_V=_zeros(d),
+            W_O=_draw(rng, d, d), b_O=_zeros(d),
+            FFN1=_draw(rng, d, f), b_FFN1=_zeros(f),
+            FFN2=_draw(rng, f, d), b_FFN2=_zeros(d),
+            ln1_g=_ones(d), ln1_b=_zeros(d),
+            ln2_g=_ones(d), ln2_b=_zeros(d),
         ))
-    head_W = draw(d, cfg.num_classes)
-    head_b = zeros(cfg.num_classes)
+    head_W = _draw(rng, d, cfg.num_classes)
+    head_b = _zeros(cfg.num_classes)
     return TransformerModel(cfg, embedding, pos_embedding, layers, head_W, head_b)
 
 
@@ -253,11 +255,12 @@ def _merge_heads(x: Tensor) -> Tensor:
 def _prefix_rows(p: Tensor, shape: tuple[int, ...]) -> Tensor:
     """Prefix rows [H, l, head_dim] repeated for each example of the batch.
 
-    Axis 0 of the result is the batch, so it is marked as the example axis:
-    a per-example backward then keeps each example's share of the prefix
-    gradient apart instead of summing the copies.
+    numpy prepends the batch axis, and axis 0 of the result is marked as the
+    example axis: this broadcast is where the parameters meet the examples,
+    so a per-example backward keeps each example's share of the prefix
+    gradient apart there instead of summing the copies.
     """
-    rows = T.broadcast_to(T.reshape(p, (1,) + p.shape), shape)
+    rows = T.broadcast_to(p, shape)
     rows.example_axis = True
     return rows
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ContractError, NumericError, ShapeError
-from .model import INIT_STD, ForwardHooks, TransformerModel
+from .model import ForwardHooks, TransformerModel, _draw, _ones, _zeros
 from .tensor import Tensor
 
 METHODS = ("lora", "dora", "adapter", "prefix", "ia3", "unipelt")
@@ -208,19 +208,6 @@ def _expand_targets(model: TransformerModel, cfg: PeftConfig) \
             else:
                 pairs.append((li, w))
     return pairs
-
-
-def _draw(rng: np.random.Generator, *shape) -> Tensor:
-    return Tensor(rng.normal(0.0, INIT_STD, size=shape).astype(np.float32),
-                  requires_grad=True)
-
-
-def _zeros(*shape) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True)
-
-
-def _ones(*shape) -> Tensor:
-    return Tensor(np.ones(shape, dtype=np.float32), requires_grad=True)
 
 
 class PeftModule(ForwardHooks):
@@ -491,8 +478,7 @@ class UniPeltModule(PeftModule):
     Each targeted layer holds one scalar gate per submodule: the sigmoid of
     the mean-pooled layer input through a learned [d, 1] map. Gates multiply
     each submodule's contribution (for the prefix, its un-normalized
-    attention weight columns). ``gate_override`` forces every gate to a
-    constant, which tests use to recover the all-off and all-on limits.
+    attention weight columns).
 
     The composite's view is the only buffer behind the submodules' tensors:
     each submodule gets a gate provider, so it builds no view (see
@@ -505,7 +491,6 @@ class UniPeltModule(PeftModule):
     def __init__(self, model: TransformerModel, cfg: PeftConfig):
         rng = np.random.default_rng(model.cfg.seed + 4)
         d = model.cfg.hidden_dim
-        self.gate_override: float | None = None
         self._gates: dict[tuple[int, str], Tensor] = {}
         self.gate_weights: dict[tuple[int, str], Tensor] = {}
         self.submodules: dict[str, PeftModule] = {}
@@ -537,17 +522,12 @@ class UniPeltModule(PeftModule):
         super().__init__(cfg, raw)
 
     def begin_layer(self, layer, x):
-        b = x.shape[0]
         for name in self.submodules:
             wg = self.gate_weights.get((layer, name))
             if wg is None:
                 continue
-            if self.gate_override is not None:
-                self._gates[(layer, name)] = Tensor(
-                    np.full((b, 1), self.gate_override, dtype=np.float32))
-            else:
-                self._gates[(layer, name)] = T.sigmoid(
-                    T.matmul(T.mean_axis(x, 1), wg))
+            self._gates[(layer, name)] = T.sigmoid(
+                T.matmul(T.mean_axis(x, 1), wg))
 
     def project(self, layer, name, x, w, b):
         sub = self.submodules.get("lora")

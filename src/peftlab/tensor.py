@@ -16,6 +16,8 @@ and slice i reaches the loss only through example i. ``embedding`` sets it on
 its output and every op passes it on to its output, so the forward pass
 records which tensors carry examples. ``backward(loss, per_example=leaves)``
 uses the record to return each leaf's gradient per example; see there.
+Per-example code lives only where an input without the example axis meets
+an output with it (``_sum_to`` and ``matmul``); other pullbacks have none.
 
 A single graph must stay on one thread. ``no_grad`` and a per-example
 ``backward`` switch process-wide state while they run, so no other graph
@@ -60,8 +62,8 @@ __all__ = [
 ]
 
 _grad_enabled = True
-# True while a per-example backward runs: pullbacks then keep a leading
-# example axis on the cotangent of every input without the example axis.
+# True while a per-example backward runs the pullback of a node with the
+# example axis: cotangents for inputs without it keep a leading example axis.
 _per_example = False
 
 
@@ -149,31 +151,15 @@ def _record(op: str, data: np.ndarray, inputs: tuple[Tensor, ...],
     return out
 
 
-def _lead(g: np.ndarray, t: Tensor) -> tuple[int, ...]:
-    """The axes that input ``t``'s cotangent carries in front of ``t.shape``.
-
-    In a per-example backward, an input without the example axis gets a
-    cotangent of shape ``(N,) + t.shape`` whose slice i is the gradient of
-    example i's term. N is read off ``g``, the output cotangent: its axis 0
-    is the example axis, whether the output carries that axis or the
-    leading one. Otherwise ``()``.
-    """
-    return g.shape[:1] if _per_example and not t.example_axis else ()
-
-
-def _shift(axis: int, lead: tuple[int, ...]) -> int:
-    """``axis`` of a tensor, as an axis of its cotangent with ``lead``."""
-    return axis + len(lead) if axis >= 0 else axis
-
-
 def _sum_to(grad: np.ndarray, t: Tensor) -> np.ndarray:
     """Undo numpy broadcasting: sum input ``t``'s share of a cotangent down
     to ``t.shape`` in float64.
 
-    In a per-example backward, an input without the example axis gets
-    ``[N, *t.shape]``: ``grad``'s axis 0 is the example axis and is kept.
-    When ``t`` spans the output's example axis, that axis of ``t`` must be
-    broadcast (size 1); example i's slice then sits in ``t``'s axis 0.
+    The boundary of a per-example backward: when an input without the
+    example axis meets an output with it, ``grad``'s axis 0 is the example
+    axis and is kept, so ``t`` gets ``[N, *t.shape]``. Such an input must
+    have fewer axes than the output (numpy prepends the example axis); one
+    that spans it raises ContractError.
 
     With nothing to reduce, a float32 ``grad`` is returned as is (the float64
     round trip would be exact), so a pullback that hands one cotangent to two
@@ -182,28 +168,22 @@ def _sum_to(grad: np.ndarray, t: Tensor) -> np.ndarray:
     shape = t.shape
     keep = 0
     if _per_example and not t.example_axis:
-        keep = 1
         if len(shape) == grad.ndim:
-            if shape[0] != 1:
-                raise ContractError(f"an input of shape {shape} without the "
-                                    f"example axis spans it")
-            shape = shape[1:]
+            raise ContractError(f"an input of shape {shape} without the "
+                                f"example axis spans it")
+        keep = 1
         shape = grad.shape[:1] + shape
     if grad.shape == shape:
-        out = grad if grad.dtype == np.float32 else grad.astype(np.float32)
-    else:
-        grad64 = np.asarray(grad, dtype=np.float64)
-        extra = grad64.ndim - len(shape)
-        if extra > 0:
-            grad64 = grad64.sum(axis=tuple(range(keep, keep + extra)))
-        axes = tuple(i for i, n in enumerate(shape)
-                     if i >= keep and n == 1 and grad64.shape[i] != 1)
-        if axes:
-            grad64 = grad64.sum(axis=axes, keepdims=True)
-        out = grad64.astype(np.float32).reshape(shape)
-    if keep and out.ndim == t.ndim:  # put back t's size-1 spanning axis
-        return out.reshape(grad.shape[:1] + t.shape)
-    return out
+        return grad if grad.dtype == np.float32 else grad.astype(np.float32)
+    grad64 = np.asarray(grad, dtype=np.float64)
+    extra = grad64.ndim - len(shape)
+    if extra > 0:
+        grad64 = grad64.sum(axis=tuple(range(keep, keep + extra)))
+    axes = tuple(i for i, n in enumerate(shape)
+                 if i >= keep and n == 1 and grad64.shape[i] != 1)
+    if axes:
+        grad64 = grad64.sum(axis=axes, keepdims=True)
+    return grad64.astype(np.float32).reshape(shape)
 
 
 def _topo_order(output: Tensor) -> list[Tensor]:
@@ -242,6 +222,9 @@ def backward(loss: Tensor, per_example: Sequence[Tensor] | None = None):
     ``loss`` must be scalar. Each node is visited exactly once; cotangents of
     interior tensors are dropped once consumed. Grads add onto whatever is
     already in ``.grad``, so callers zero leaves between backward passes.
+    A graph is replayed once: the pass drops every node it reaches (``node``
+    becomes None), so a tensor held afterwards, such as the loss, keeps none
+    of the tape alive, and a later pass stops at such a tensor as at a leaf.
 
     Per-example mode: when ``loss`` sums one term per example of a batch of
     N and ``per_example`` lists leaves without the example axis, the pass
@@ -249,11 +232,14 @@ def backward(loss: Tensor, per_example: Sequence[Tensor] | None = None):
     per listed leaf, whose slice i is the gradient of example i's term, or
     None where the loss does not reach the leaf. Tensors that lead to no
     listed leaf count as frozen for the pass, so nothing else is computed.
-    A cotangent reduced onto a tensor without the example axis keeps the
-    axis instead of summing it away; the arithmetic per example is that of
-    a batch-1 pass. Ops must not mix examples (slice i of an output depends
-    on slice i of its inputs with the example axis only); an op that cannot
-    keep the axis for an input raises ContractError.
+    Where an input without the example axis meets an output with it, its
+    cotangent keeps the axis instead of summing it away. A node whose output
+    lacks the axis depends on parameters alone: its ordinary pullback runs
+    once per example, on that example's slice of the cotangent, so the
+    arithmetic per example is that of a batch-1 pass. Ops must not mix
+    examples (slice i of an output depends on slice i of its inputs with the
+    example axis only); an op that cannot keep the axis for an input raises
+    ContractError.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -269,28 +255,43 @@ def backward(loss: Tensor, per_example: Sequence[Tensor] | None = None):
 
 
 def _replay(loss: Tensor, order: list[Tensor]) -> dict[int, np.ndarray]:
-    """Run every pullback once, consumers before their inputs.
+    """Run every pullback once, consumers before their inputs, and drop
+    each node from the tape as it is reached.
 
     Leaf cotangents add onto ``.grad``, except in a per-example pass, where
     they stay in the returned dict (keyed by id) and each cotangent's shape
-    is checked against its input's example axis.
+    is checked against its input's example axis. There a node without the
+    example axis gets ``[N, *shape]`` and runs its pullback on each slice
+    with the flag off, as in a batch-1 pass; the results are stacked.
     """
+    global _per_example
     cotangents: dict[int, np.ndarray] = {
         id(loss): np.ones(loss.shape, dtype=np.float32)
     }
     per_example = _per_example
     for t in reversed(order):
+        node, t.node = t.node, None
         g = cotangents.pop(id(t), None)
         if g is None:
             continue
-        for inp, gi in zip(t.node.inputs, t.node.pullback(g)):
+        if per_example and not t.example_axis:
+            _per_example = False
+            try:
+                each = [node.pullback(gk) for gk in g]
+            finally:
+                _per_example = True
+            grads = [None if gs[0] is None else np.array(gs)
+                     for gs in zip(*each)]
+        else:
+            grads = node.pullback(g)
+        for inp, gi in zip(node.inputs, grads):
             if gi is None or not inp.requires_grad:
                 continue
             if per_example:
                 lead = 0 if inp.example_axis else 1
                 if gi.ndim != inp.ndim + lead or gi.shape[lead:] != inp.shape:
                     raise ContractError(
-                        f"'{t.node.op}' cannot keep the example axis in the "
+                        f"'{node.op}' cannot keep the example axis in the "
                         f"cotangent of an input of shape {inp.shape}")
             elif inp.node is None:
                 inp.grad = gi if inp.grad is None else inp.grad + gi
@@ -572,12 +573,9 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     sizes = [t.shape[axis] for t in parts]
     splits = np.cumsum(sizes)[:-1]
 
-    marked = any(t.example_axis for t in parts)
-
     def pull(g: np.ndarray):
-        ax = axis if marked else _shift(axis, _lead(g, parts[0]))
         return tuple(np.ascontiguousarray(piece) if t.requires_grad else None
-                     for t, piece in zip(parts, np.split(g, splits, axis=ax)))
+                     for t, piece in zip(parts, np.split(g, splits, axis=axis)))
 
     return _record("concat", out, parts, pull)
 
@@ -589,9 +587,8 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     out = np.ascontiguousarray(a.data[idx])
 
     def pull(g: np.ndarray):
-        lead = _lead(g, a)
-        full = np.zeros(lead + a.shape, dtype=np.float32)
-        full[(slice(None),) * len(lead) + idx] = g
+        full = np.zeros(a.shape, dtype=np.float32)
+        full[idx] = g
         return (full,)
 
     return _record("slice_axis", out, (a,), pull)
@@ -601,7 +598,7 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = a.data.reshape(shape)
 
     def pull(g: np.ndarray):
-        return (g.reshape(_lead(g, a) + a.shape),)
+        return (g.reshape(a.shape),)
 
     return _record("reshape", out, (a,), pull)
 
@@ -611,12 +608,10 @@ def transpose(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
     if axes is None:
         axes = tuple(range(a.ndim - 2)) + (a.ndim - 1, a.ndim - 2)
     out = np.ascontiguousarray(np.transpose(a.data, axes))
-    inverse = np.argsort(axes)
+    inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
 
     def pull(g: np.ndarray):
-        k = len(_lead(g, a))
-        perm = tuple(range(k)) + tuple(int(i) + k for i in inverse)
-        return (np.ascontiguousarray(np.transpose(g, perm)),)
+        return (np.ascontiguousarray(g.transpose(inverse)),)
 
     return _record("transpose", out, (a,), pull)
 
@@ -653,9 +648,8 @@ def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     out = a.data.astype(np.float64).sum(axis=axis, keepdims=keepdims)
 
     def pull(g: np.ndarray):
-        lead = _lead(g, a)
-        gg = g if keepdims else np.expand_dims(g, _shift(axis, lead))
-        return (np.broadcast_to(gg, lead + a.shape).astype(np.float32).copy(),)
+        gg = g if keepdims else np.expand_dims(g, axis)
+        return (np.broadcast_to(gg, a.shape).astype(np.float32).copy(),)
 
     return _record("sum_axis", out.astype(np.float32), (a,), pull)
 
@@ -665,9 +659,8 @@ def mean_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     out = a.data.astype(np.float64).sum(axis=axis, keepdims=keepdims) / n
 
     def pull(g: np.ndarray):
-        lead = _lead(g, a)
-        gg = g if keepdims else np.expand_dims(g, _shift(axis, lead))
-        return ((np.broadcast_to(gg, lead + a.shape) / np.float32(n))
+        gg = g if keepdims else np.expand_dims(g, axis)
+        return ((np.broadcast_to(gg, a.shape) / np.float32(n))
                 .astype(np.float32),)
 
     return _record("mean_axis", out.astype(np.float32), (a,), pull)

@@ -121,6 +121,18 @@ def test_batched_scores_equal_batch1_oracle(method):
                                       batch1_scores(model, data, n))
 
 
+def test_scoring_leaves_no_tape_behind_the_gate_cache():
+    """UniPELT caches each layer's gates; scoring's backward drops the tape
+    nodes it replays, so the cache keeps no tape of the last chunk alive."""
+    model = build_model(SMALL)
+    module = attach(model, PeftConfig(method="unipelt", rank=2, prefix_len=3))
+    data = generate_task("parity", 16, 3, vocab_size=8, seq_len=6,
+                         batch_size=8)[0]
+    estimate_fisher(model, data, num_samples=16)
+    assert module._gates
+    assert all(g.node is None for g in module._gates.values())
+
+
 def test_fisher_batching_invariance():
     model, module, data = lora_fixture()
     a = estimate_fisher(model, data, num_samples=24)

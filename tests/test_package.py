@@ -9,7 +9,8 @@ from pathlib import Path
 
 import peftlab
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_every_public_name_resolves():
@@ -51,3 +52,16 @@ def test_core_runs_without_scipy():
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_benchmark_harness_binds_to_the_package(monkeypatch):
+    """perfbench/ looks peftlab names up by string and calls its task API;
+    a rename there would fail every benchmark run, so it fails here first."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracer
+    import workloads
+
+    tracer.Tracer()  # looks up every traced name, ThetaTilde.set_vector too
+    train, held_out = workloads.make_task(
+        workloads.rebind(workloads.ORDERING, 42))
+    assert train and held_out

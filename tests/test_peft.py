@@ -236,17 +236,27 @@ def test_unipelt_gate_limits():
                      target_layers=(1, 2))
     m = build_model(SMALL)
     mod = attach(m, cfg)
-    mod.gate_override = 0.0
+
+    def constant_gates(value):
+        """A begin_layer that installs one constant [b, 1] gate per part."""
+        def begin_layer(layer, x):
+            for key in mod.gate_weights:
+                if key[0] == layer:
+                    mod._gates[key] = T.Tensor(
+                        np.full((x.shape[0], 1), value, dtype=np.float32))
+        return begin_layer
+
+    mod.begin_layer = constant_gates(0.0)
     assert np.max(np.abs(logits_of(m, batch) - base)) < 1e-6
 
     plain = build_model(SMALL)
     attach(plain, PeftConfig(method="prefix", prefix_len=3,
                              target_layers=(1, 2)))
-    mod.gate_override = 1.0
+    mod.begin_layer = constant_gates(1.0)
     # lora/adapter deltas are still zero at init; gate 1 leaves only the prefix
     assert np.max(np.abs(logits_of(m, batch) - logits_of(plain, batch))) < 1e-6
 
-    mod.gate_override = None
+    del mod.begin_layer  # back to the learned gates
     mid = logits_of(m, batch)
     assert np.max(np.abs(mid - base)) > 1e-7  # learned gates sit near 0.5
 

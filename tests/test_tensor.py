@@ -1,5 +1,7 @@
 """Autodiff engine: forward oracles, gradient checks, graph mechanics."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -268,6 +270,44 @@ def test_per_example_backward_equals_batch1_passes():
         w.grad = v.grad = other.grad = None
 
 
+def test_per_example_backward_runs_batch1_pullbacks_on_parameter_only_nodes():
+    """A primitive written with no per-example code: its pullback only
+    reshapes, and it sits on a path that depends on the parameter alone."""
+    rng = np.random.default_rng(6)
+    w = T.Tensor(rng.normal(size=12), requires_grad=True)
+    rows = rng.normal(size=(5, 3)).astype(np.float32)
+    labels = rng.integers(0, 4, size=5)
+
+    def loss_of(r, y):
+        weight = T._record("view", w.data.reshape(3, 4), (w,),
+                           lambda g: (g.reshape(w.shape),))
+        return T.log_softmax_nll(T.matmul(_marked(r), weight), y, "sum")
+
+    (gw,) = T.backward(loss_of(rows, labels), per_example=[w])
+    assert gw.shape == (5, 12)
+    for i in range(5):
+        T.backward(loss_of(rows[i:i + 1], labels[i:i + 1]))
+        assert gw[i].tobytes() == w.grad.tobytes()
+        w.grad = None
+
+
+def test_backward_drops_the_tape_it_replays():
+    """The loss outlives backward (a training loop holds it through the
+    next forward pass), but the tape behind it must not."""
+    w = T.Tensor(np.ones((4, 3)), requires_grad=True)
+
+    def build():
+        hidden = T.relu(T.matmul(T.Tensor(np.ones((2, 4))), w))
+        return scalar_sum(hidden), weakref.ref(hidden.data)
+
+    loss, hidden_data = build()
+    assert hidden_data() is not None
+    T.backward(loss)
+    assert loss.node is None
+    assert hidden_data() is None
+    assert w.grad is not None
+
+
 def test_per_example_backward_rejects_what_it_cannot_split():
     w = T.Tensor(np.ones((2, 3)), requires_grad=True)
     with pytest.raises(ContractError, match="example axis"):
@@ -280,6 +320,9 @@ def test_per_example_backward_rejects_what_it_cannot_split():
     with pytest.raises(ContractError, match="layer_norm"):
         T.backward(loss, per_example=[gamma])
     assert gamma.requires_grad
+    row = T.Tensor(np.ones((1, 3)), requires_grad=True)  # spans the examples
+    with pytest.raises(ContractError, match="spans"):
+        T.backward(scalar_sum(T.add(x, row)), per_example=[row])
 
 
 @pytest.mark.parametrize("second", ["leaf", "reshaped_leaf"])
