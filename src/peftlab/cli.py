@@ -24,7 +24,6 @@ from .experiment import (_SCORED, _make_task, _rebind_seed, _select_mask,
                          _setup, compare_strategies, run_experiment)
 from .fisher import save_mask, save_scores
 from .optim import evaluate
-from .tasks import flatten
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -161,11 +160,9 @@ def _out_dir(cfg: ExperimentConfig) -> str:
 
 def _cmd_gen_data(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
-    train_b, eval_b = _make_task(cfg)
     lines = []
-    for split, batches in (("train", train_b), ("eval", eval_b)):
-        rows, labels = flatten(batches)
-        for row, label in zip(rows, labels):
+    for split, data in zip(("train", "eval"), _make_task(cfg)):
+        for row, label in zip(data.token_ids, data.labels):
             lines.append(json.dumps({"tokens": [int(t) for t in row],
                                      "label": int(label), "split": split}))
     path = os.path.join(out, "dataset.jsonl")
@@ -210,8 +207,8 @@ def _cmd_train(cfg: ExperimentConfig) -> int:
 
 def _cmd_eval(args) -> int:
     state = load_checkpoint(args.checkpoint)
-    _, eval_batches = _make_task(state.cfg)
-    loss, acc = evaluate(state.model, eval_batches)
+    loss, acc = evaluate(state.model, _make_task(state.cfg)[1],
+                         state.cfg.train.batch_size)
     print(json.dumps({"eval_loss": loss, "eval_accuracy": acc,
                       "config_hash": state.config_hash}, sort_keys=True))
     return 0

@@ -23,7 +23,7 @@ import numpy as np
 from . import config as config_mod
 from .checkpoint import atomic_write_text, save_checkpoint
 from .config import ExperimentConfig
-from .errors import ContractError, ExperimentError, PeftLabError
+from .errors import ConfigError, ContractError, ExperimentError, PeftLabError
 from .fisher import (FisherEstimate, SparsityMask, budget_to_k,
                      estimate_fisher, save_mask, save_scores, select)
 from .model import build_model
@@ -54,8 +54,7 @@ def _make_task(cfg: ExperimentConfig):
                          vocab_size=cfg.model.vocab_size,
                          seq_len=cfg.model.max_seq_len,
                          num_classes=cfg.model.num_classes,
-                         eval_size=cfg.task.eval_size,
-                         batch_size=cfg.train.batch_size)
+                         eval_size=cfg.task.eval_size)
 
 
 def report_to_dict(report: TrainReport, k: int, theta_len: int) -> dict:
@@ -237,18 +236,23 @@ def compare_strategies(cfg: ExperimentConfig, strategies, budgets,
                        seeds) -> ComparisonTable:
     """Cartesian sweep with one shared score estimate per seed.
 
-    Every cell's config is built before the first cell runs, so a bad
-    strategy, budget or seed raises ConfigError up front. A cell that fails
-    while running records its error and the sweep continues. When
-    ``cfg.out_dir`` is set, each cell writes its artifacts under
-    ``cells/<strategy>-<budget>-<seed>`` and the finished table lands in
-    comparison.tsv / comparison.json.
+    Every cell's config is built before the first cell runs, so a bad or
+    repeated strategy, budget (by its ``:g`` cell name) or seed raises
+    ConfigError up front. A cell that fails while running records its error
+    and the sweep continues. When ``cfg.out_dir`` is set, each cell writes
+    its artifacts under ``cells/<strategy>-<budget>-<seed>`` and the
+    finished table lands in comparison.tsv / comparison.json.
     """
     strategies = tuple(strategies)
     budgets = tuple(budgets)
     seeds = tuple(seeds)
     if not strategies or not budgets or not seeds:
         raise ContractError("strategies, budgets, and seeds must be non-empty")
+    for what, keys in (("strategy", strategies), ("seed", seeds),
+                       ("budget", [f"{b:g}" for b in budgets])):
+        for i, key in enumerate(keys):
+            if key in keys[:i]:
+                raise ConfigError(f"repeated {what} {key} in the sweep")
 
     runs = {(strategy, budget, seed): dataclasses.replace(
                 _rebind_seed(cfg, seed),

@@ -3,8 +3,8 @@ selected from them.
 
 The score of coordinate j is the mean over N examples of the squared
 per-example loss gradient: (1/N) sum_i g_ij^2, accumulated in float64 in a
-canonical example order so the estimate does not depend on how the caller
-batched the data. Scores are computed once, before any training step, from
+canonical example order so the estimate does not depend on the order of
+the split's rows. Scores are computed once, before any training step, from
 true labels: the diagonal of the empirical Fisher.
 
 The per-example gradients come from one per-example backward pass per chunk
@@ -30,7 +30,6 @@ import numpy as np
 
 from .errors import CheckpointError, ConfigError, ContractError, NumericError
 from . import tensor as T
-from .tasks import flatten
 
 STRATEGIES = ("fish", "random", "reverse", "dense")
 
@@ -105,11 +104,12 @@ def estimate_fisher(model, dataset, num_samples: int = 128,
     ``model`` needs two methods: ``fisher_parameters()`` returning the flat
     view, and ``batch_nll(token_rows, labels)`` returning the scalar sum of
     the per-example losses, built on inputs whose ``example_axis`` is set.
-    ``dataset`` is a list of batches carrying true labels; examples are
-    re-sorted canonically (by token bytes, then label) and the first
-    ``num_samples`` are scored, so any batching of the same example set
-    yields the identical estimate. They are the first in that order, not a
-    uniform sample of the split, when ``num_samples`` is smaller than it.
+    ``dataset`` is a split carrying true labels: anything with ``token_ids``
+    rows and ``labels``, such as a ``Batch``. Its examples are sorted
+    canonically (by token bytes, then label) and the first ``num_samples``
+    are scored, so any row order of the same example set yields the
+    identical estimate. They are the first in that order, not a uniform
+    sample of the split, when ``num_samples`` is smaller than it.
 
     The examples go through in chunks of up to _CHUNK, one forward and one
     per-example backward pass each, which yields every example's gradient
@@ -118,9 +118,9 @@ def estimate_fisher(model, dataset, num_samples: int = 128,
     """
     if num_samples < 1:
         raise ConfigError(f"num_samples must be >= 1, got {num_samples}")
-    if not dataset:
+    rows, labels = dataset.token_ids, dataset.labels
+    if not len(labels):
         raise ContractError("score estimate over an empty dataset")
-    rows, labels = flatten(dataset)
     if num_samples > len(labels):
         raise ConfigError(f"num_samples {num_samples} exceeds the "
                           f"{len(labels)} available examples")

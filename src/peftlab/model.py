@@ -53,7 +53,8 @@ class ModelConfig:
 
 @dataclass
 class Batch:
-    """A minibatch of token rows and integer class labels."""
+    """Token rows and their integer class labels, checked once on
+    construction: a whole task split, or a minibatch cut from one."""
 
     token_ids: np.ndarray
     labels: np.ndarray

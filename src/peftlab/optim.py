@@ -21,7 +21,6 @@ from .errors import ConfigError, ContractError, NumericError
 from .fisher import SparsityMask, mask_gradients
 from .model import Batch, TransformerModel, forward
 from .peft import PeftModule, ThetaTilde
-from .tasks import flatten
 
 OPTIMIZERS = ("sgd", "adamw")
 
@@ -170,21 +169,21 @@ class TrainReport:
         return self.records[-1].eval_accuracy
 
 
-def evaluate(model: TransformerModel, batches: list[Batch]) -> tuple[float, float]:
-    """Mean cross entropy and argmax accuracy over all examples."""
-    if not batches:
-        raise ContractError("evaluate on an empty dataset")
+def evaluate(model: TransformerModel, data: Batch,
+             batch_size: int = 32) -> tuple[float, float]:
+    """Mean cross entropy and argmax accuracy over the rows of ``data``, run
+    in consecutive ``batch_size``-row chunks whose loss sums add in order."""
+    if not len(data) or batch_size < 1:
+        raise ContractError(f"evaluate needs rows and a batch_size >= 1, got "
+                            f"{len(data)} rows and batch_size {batch_size}")
     loss_sum = 0.0
     hits = 0
-    count = 0
     with T.no_grad():
-        for batch in batches:
+        for batch in _rebatch(data, np.arange(len(data)), batch_size):
             logits = forward(model, batch)
-            n = len(batch)
             loss_sum += T.log_softmax_nll(logits, batch.labels, "sum").item()
             hits += int((logits.data.argmax(axis=1) == batch.labels).sum())
-            count += n
-    return loss_sum / count, hits / count
+    return loss_sum / len(data), hits / len(data)
 
 
 def compute_ratios(model: TransformerModel, module: PeftModule,
@@ -204,11 +203,10 @@ def compute_ratios(model: TransformerModel, module: PeftModule,
     return k / total, k / length
 
 
-def _rebatch(rows: np.ndarray, labels: np.ndarray, order: np.ndarray,
-             batch_size: int):
+def _rebatch(split: Batch, order: np.ndarray, batch_size: int):
     for i in range(0, len(order), batch_size):
         idx = order[i:i + batch_size]
-        yield Batch(rows[idx], labels[idx])
+        yield Batch(split.token_ids[idx], split.labels[idx])
 
 
 def train(model: TransformerModel, module: PeftModule,
@@ -216,18 +214,18 @@ def train(model: TransformerModel, module: PeftModule,
           config_hash: str = "") -> TrainReport:
     """Mask-respecting training of the flat adapter view plus the head.
 
-    ``task`` is the (train_batches, eval_batches) pair. Examples are pooled
-    and reshuffled each epoch with a generator seeded once from tcfg.seed, so
-    identical inputs give identical reports. Evaluation runs before training
-    (epoch 0 record) and after every epoch; early stopping watches eval loss.
+    ``task`` is the (train, eval) pair of splits. Each epoch cuts the train
+    rows into tcfg.batch_size minibatches in an order drawn from a generator
+    seeded once from tcfg.seed, so identical inputs give identical reports.
+    Evaluation runs before training (epoch 0 record) and after every epoch;
+    early stopping watches eval loss.
     A non-finite loss or update ends the run with ``diverged=True`` and the
     records so far.
     """
     started = time.perf_counter()
-    train_batches, eval_batches = task
-    if not train_batches:
+    train_split, eval_split = task
+    if not len(train_split):
         raise ContractError("train on an empty dataset")
-    rows, labels = flatten(train_batches)
 
     theta = module.theta_tilde()
     head = ThetaTilde(model.head_parameters())
@@ -242,7 +240,7 @@ def train(model: TransformerModel, module: PeftModule,
     seed = tcfg.seed
 
     records: list[EpochRecord] = []
-    eval_loss, eval_acc = evaluate(model, eval_batches)
+    eval_loss, eval_acc = evaluate(model, eval_split, tcfg.batch_size)
     records.append(EpochRecord(0, None, eval_loss, eval_acc))
 
     def report(diverged=False, stopped=None):
@@ -250,17 +248,17 @@ def train(model: TransformerModel, module: PeftModule,
                            config_hash, time.perf_counter() - started,
                            diverged=diverged, stopped_early_at=stopped)
 
-    steps_per_epoch = math.ceil(len(labels) / tcfg.batch_size)
+    steps_per_epoch = math.ceil(len(train_split) / tcfg.batch_size)
     total_steps = max(tcfg.epochs * steps_per_epoch, 1)
     rng = np.random.default_rng(tcfg.seed)
     best_loss = eval_loss
     since_best = 0
     step_idx = 0
     for epoch in range(1, tcfg.epochs + 1):
-        order = rng.permutation(len(labels))
+        order = rng.permutation(len(train_split))
         loss_sum = 0.0
         seen = 0
-        for batch in _rebatch(rows, labels, order, tcfg.batch_size):
+        for batch in _rebatch(train_split, order, tcfg.batch_size):
             model.zero_grads()
             loss = T.log_softmax_nll(forward(model, batch), batch.labels)
             value = loss.item()
@@ -278,7 +276,7 @@ def train(model: TransformerModel, module: PeftModule,
             loss_sum += value * len(batch)
             seen += len(batch)
             step_idx += 1
-        eval_loss, eval_acc = evaluate(model, eval_batches)
+        eval_loss, eval_acc = evaluate(model, eval_split, tcfg.batch_size)
         records.append(EpochRecord(epoch, loss_sum / seen, eval_loss, eval_acc))
         if tcfg.early_stop:
             if eval_loss < best_loss:

@@ -7,7 +7,8 @@ Label rules:
 
 Sequences are drawn uniformly, deduplicated in draw order, and the unique
 pool is split train-first, so the two splits never share a row and the whole
-dataset is a pure function of (kind, size, seed, dims).
+dataset is a pure function of (kind, size, seed, dims). A split is one
+``Batch``; the code that consumes it cuts its own minibatches.
 """
 
 from __future__ import annotations
@@ -35,23 +36,13 @@ def _labels_for(kind: str, rows: np.ndarray, num_classes: int) -> np.ndarray:
     raise ConfigError(f"unknown task kind '{kind}'; expected one of {TASK_KINDS}")
 
 
-def as_batches(rows: np.ndarray, labels: np.ndarray,
-               batch_size: int = 32) -> list[Batch]:
-    return [Batch(rows[i:i + batch_size], labels[i:i + batch_size])
-            for i in range(0, len(rows), batch_size)]
-
-
-def flatten(batches: list[Batch]) -> tuple[np.ndarray, np.ndarray]:
-    rows = np.concatenate([b.token_ids for b in batches], axis=0)
-    labels = np.concatenate([b.labels for b in batches], axis=0)
-    return rows, labels
-
-
 def generate_task(kind: str, size: int, seed: int, *,
                   vocab_size: int = 16, seq_len: int = 8, num_classes: int = 2,
                   eval_size: int | None = None,
-                  batch_size: int = 32) -> tuple[list[Batch], list[Batch]]:
-    """Return (train_batches, eval_batches) for one of TASK_KINDS."""
+                  batch_size: int = 32) -> tuple[Batch, Batch]:
+    """Return the (train, eval) splits of one of TASK_KINDS, a ``Batch``
+    each. ``batch_size`` has no effect: only the benchmark harness passes
+    it, and ROADMAP item 1 deletes it along with that caller."""
     if kind not in TASK_KINDS:
         raise ConfigError(f"unknown task kind '{kind}'; expected one of {TASK_KINDS}")
     if size < 16:
@@ -62,6 +53,8 @@ def generate_task(kind: str, size: int, seed: int, *,
         raise ConfigError("tasks need num_classes >= 2")
     if eval_size is None:
         eval_size = max(size // 4, 8)
+    if eval_size < 1:
+        raise ConfigError(f"eval_size must be >= 1, got {eval_size}")
     needed = size + eval_size
     capacity = float(vocab_size) ** seq_len
     if capacity < needed * 2:
@@ -83,6 +76,4 @@ def generate_task(kind: str, size: int, seed: int, *,
                     break
     pool = np.stack(rows)
     labels = _labels_for(kind, pool, num_classes)
-    train = as_batches(pool[:size], labels[:size], batch_size)
-    evals = as_batches(pool[size:], labels[size:], batch_size)
-    return train, evals
+    return Batch(pool[:size], labels[:size]), Batch(pool[size:], labels[size:])

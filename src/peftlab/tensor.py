@@ -88,10 +88,12 @@ class Tensor:
     ``grad`` is populated only on leaves (tensors the user created with
     ``requires_grad=True``); intermediate gradients are released as soon as
     backward consumes them. ``example_axis`` marks axis 0 as the example
-    axis (see the module docstring).
+    axis (see the module docstring); ``replayed``, a tensor whose node
+    backward has run and dropped.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "node", "example_axis")
+    __slots__ = ("data", "requires_grad", "grad", "node", "example_axis",
+                 "replayed")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float32)
@@ -99,6 +101,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.node: _Node | None = None
         self.example_axis = False
+        self.replayed = False
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -213,6 +216,8 @@ def _topo_order(output: Tensor) -> list[Tensor]:
             for inp in t.node.inputs:
                 if inp.node is not None and state.get(id(inp)) != 2:
                     stack.append((inp, False))
+                elif inp.replayed:
+                    raise GraphError(f"'{t.node.op}' input already replayed")
     return order
 
 
@@ -224,7 +229,8 @@ def backward(loss: Tensor, per_example: Sequence[Tensor] | None = None):
     already in ``.grad``, so callers zero leaves between backward passes.
     A graph is replayed once: the pass drops every node it reaches (``node``
     becomes None), so a tensor held afterwards, such as the loss, keeps none
-    of the tape alive, and a later pass stops at such a tensor as at a leaf.
+    of the tape alive. It marks those tensors ``replayed``, and a later pass
+    that reaches one raises GraphError.
 
     Per-example mode: when ``loss`` sums one term per example of a batch of
     N and ``per_example`` lists leaves without the example axis, the pass
@@ -243,6 +249,8 @@ def backward(loss: Tensor, per_example: Sequence[Tensor] | None = None):
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
+    if loss.replayed:
+        raise GraphError("backward has already replayed this loss")
     if per_example is not None:
         return _backward_per_example(loss, tuple(per_example))
     if loss.node is None:
@@ -270,7 +278,7 @@ def _replay(loss: Tensor, order: list[Tensor]) -> dict[int, np.ndarray]:
     }
     per_example = _per_example
     for t in reversed(order):
-        node, t.node = t.node, None
+        node, t.node, t.replayed = t.node, None, True
         g = cotangents.pop(id(t), None)
         if g is None:
             continue

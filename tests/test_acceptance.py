@@ -219,8 +219,8 @@ def test_criterion_2_score_oracle_equivalence():
     y = (rng.uniform(size=32) < 0.5).astype(np.int64)
     w = np.array([0.7, -1.2], dtype=np.float32)
     logistic = _Logistic(w)
-    est_log = estimate_fisher(logistic, [SimpleNamespace(token_ids=x,
-                                                         labels=y)],
+    est_log = estimate_fisher(logistic, SimpleNamespace(token_ids=x,
+                                                        labels=y),
                               num_samples=32)
     p = 1.0 / (1.0 + np.exp(-(x.astype(np.float64) @ w.astype(np.float64))))
     g = (p - y)[:, None] * x.astype(np.float64)
@@ -229,16 +229,15 @@ def test_criterion_2_score_oracle_equivalence():
     fd_log = _fd_score_oracle(logistic,
                               [(x[i], int(y[i])) for i in range(8)])
     est_log8 = estimate_fisher(logistic,
-                               [SimpleNamespace(token_ids=x[:8],
-                                                labels=y[:8])],
+                               SimpleNamespace(token_ids=x[:8],
+                                               labels=y[:8]),
                                num_samples=8)
     assert _scores_close(est_log8.scores.astype(np.float64), fd_log)
 
     model = build_model(TINY)
     module = attach(model, PeftConfig(method="lora", rank=2,
                                       target_layers=(1,)))
-    data = generate_task("parity", 32, 3, vocab_size=8, seq_len=6,
-                         batch_size=8)[0]
+    data = generate_task("parity", 32, 3, vocab_size=8, seq_len=6)[0]
     theta = module.theta_tilde()
 
     # at the zero-product init, half the flat view has exactly zero scores
@@ -258,8 +257,8 @@ def test_criterion_2_score_oracle_equivalence():
     model.head_b.data = rng.normal(
         0.0, 0.2, size=model.head_b.shape).astype(np.float32)
     est = estimate_fisher(model, data, num_samples=8)
-    examples = [(row, int(label)) for b in data
-                for row, label in zip(b.token_ids, b.labels)]
+    examples = [(row, int(label))
+                for row, label in zip(data.token_ids, data.labels)]
     examples.sort(key=lambda e: (e[0].tobytes(), e[1]))
     fd = _fd_score_oracle(model, examples[:8])
     assert _scores_close(est.scores.astype(np.float64), fd)
@@ -313,8 +312,11 @@ def _peft_for(method: str) -> PeftConfig:
                       target_layers=(1,))
 
 
-def _manual_steps(model, module, mask, batches, n_steps, lr=0.01,
+def _manual_steps(model, module, mask, data, n_steps, lr=0.01,
                   snapshot_each=False):
+    """``n_steps`` AdamW steps, cycling through ``data`` in 16-row batches."""
+    batches = [Batch(data.token_ids[i:i + 16], data.labels[i:i + 16])
+               for i in range(0, len(data), 16)]
     theta = module.theta_tilde()
     opt = OptimizerState.create("adamw", lr, theta.length)
     history = []
@@ -335,8 +337,7 @@ def test_criterion_4_masked_immutability():
     for method in METHODS:
         model = build_model(MID)
         module = attach(model, _peft_for(method))
-        task = generate_task("majority", 64, 7, vocab_size=8, seq_len=4,
-                             batch_size=16)
+        task = generate_task("majority", 64, 7, vocab_size=8, seq_len=4)
         n = module.theta_tilde().length
         est = estimate_fisher(model, task[0], num_samples=16)
         init_vec = module.theta_tilde().to_vector()
@@ -372,8 +373,7 @@ def test_criterion_5_dense_equivalence():
     def trajectory(use_dense_mask: bool):
         model = build_model(MID)
         module = attach(model, _peft_for("lora"))
-        task = generate_task("majority", 64, 7, vocab_size=8, seq_len=4,
-                             batch_size=16)
+        task = generate_task("majority", 64, 7, vocab_size=8, seq_len=4)
         n = module.theta_tilde().length
         mask = select(np.zeros(n, dtype=np.float32), n, "dense") \
             if use_dense_mask else None
@@ -454,8 +454,7 @@ def ordering_runs():
         attach(model, probe.peft)
         data = generate_task(probe.task.kind, probe.task.size, seed,
                              vocab_size=probe.model.vocab_size,
-                             seq_len=probe.model.max_seq_len,
-                             batch_size=probe.train.batch_size)[0]
+                             seq_len=probe.model.max_seq_len)[0]
         shared[seed] = estimate_fisher(model, data,
                                        num_samples=probe.mask.fisher_samples,
                                        config_hash=config_hash(probe))
@@ -547,8 +546,7 @@ def test_criterion_9_round_trip_persistence(tmp_path):
     module = attach(model, cfg.peft)
     task = generate_task(cfg.task.kind, cfg.task.size, cfg.task.seed,
                          vocab_size=cfg.model.vocab_size,
-                         seq_len=cfg.model.max_seq_len,
-                         batch_size=cfg.train.batch_size)
+                         seq_len=cfg.model.max_seq_len)
     n = module.theta_tilde().length
     est = estimate_fisher(model, task[0], num_samples=16)
     mask = select(est, budget_to_k(n, cfg.mask.budget), "fish",

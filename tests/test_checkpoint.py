@@ -203,8 +203,7 @@ def test_loaded_view_matches_trained_view(tmp_path):
     cfg = small_config()
     task = generate_task(cfg.task.kind, cfg.task.size, cfg.task.seed,
                          vocab_size=cfg.model.vocab_size,
-                         seq_len=cfg.model.max_seq_len,
-                         batch_size=cfg.train.batch_size)
+                         seq_len=cfg.model.max_seq_len)
     model, module, mask = build_state(cfg)
     at_attach = module.theta_tilde().to_vector()
     train(model, module, mask, task, dataclasses.replace(cfg.train, epochs=1))
@@ -231,8 +230,7 @@ def test_resume_keeps_masked_coordinates_bitwise(tmp_path):
     cfg = small_config()
     task = generate_task(cfg.task.kind, cfg.task.size, cfg.task.seed,
                          vocab_size=cfg.model.vocab_size,
-                         seq_len=cfg.model.max_seq_len,
-                         batch_size=cfg.train.batch_size)
+                         seq_len=cfg.model.max_seq_len)
 
     model, module, mask = build_state(cfg)
     frozen_at_init = module.theta_tilde().to_vector()[mask.bits == 0]

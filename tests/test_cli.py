@@ -110,6 +110,9 @@ def test_negative_seed_flag_is_validation_error(tmp_path, cfg_path, capsys):
     ("--seed", "3,-1", "seed must be >= 0"),
     ("--strategy", "fish,lottery", "lottery"),
     ("--budget", "0.5,0", "budget"),
+    ("--seed", "3,3", "repeated seed 3"),
+    ("--strategy", "fish,fish", "repeated strategy fish"),
+    ("--budget", "0.1,0.10000001", "repeated budget 0.1"),
 ])
 def test_compare_bad_list_is_validation_error(tmp_path, cfg_path, capsys,
                                               flag, value, message):

@@ -14,9 +14,9 @@ from peftlab.errors import (CheckpointError, ConfigError, ContractError,
 from peftlab.fisher import (FisherEstimate, SparsityMask, budget_to_k,
                             estimate_fisher, load_mask, load_scores,
                             mask_gradients, save_mask, save_scores, select)
-from peftlab.model import ModelConfig, build_model
+from peftlab.model import Batch, ModelConfig, build_model
 from peftlab.peft import METHODS, PeftConfig, ThetaTilde, attach
-from peftlab.tasks import flatten, generate_task
+from peftlab.tasks import generate_task
 
 SMALL = ModelConfig(num_layers=1, hidden_dim=8, num_heads=2, ffn_dim=16,
                     vocab_size=8, max_seq_len=6, num_classes=2, seed=5)
@@ -52,7 +52,7 @@ def test_fisher_matches_logistic_closed_form():
     x, y = logistic_dataset()
     w = np.array([0.7, -1.2], dtype=np.float32)
     model = TinyLogistic(w)
-    data = [SimpleNamespace(token_ids=x, labels=y)]
+    data = SimpleNamespace(token_ids=x, labels=y)
     est = estimate_fisher(model, data, num_samples=len(y))
 
     # closed form: grad_j of the per-example NLL is (p - y) * x_j
@@ -66,16 +66,15 @@ def lora_fixture():
     model = build_model(SMALL)
     module = attach(model, PeftConfig(method="lora", rank=2,
                                       target_layers=(1,)))
-    task = generate_task("parity", 32, 3, vocab_size=8, seq_len=6,
-                         batch_size=8)
+    task = generate_task("parity", 32, 3, vocab_size=8, seq_len=6)
     return model, module, task[0]
 
 
 def batch1_scores(model, data, num_samples):
     """The sequential oracle: one batch-1 backward pass per example, in the
     canonical order, squares summed in float64."""
-    examples = [(row, int(label)) for b in data
-                for row, label in zip(b.token_ids, b.labels)]
+    examples = [(row, int(label))
+                for row, label in zip(data.token_ids, data.labels)]
     examples.sort(key=lambda e: (e[0].tobytes(), e[1]))
     theta = model.fisher_parameters()
     acc = np.zeros(theta.length, dtype=np.float64)
@@ -111,8 +110,7 @@ def test_batched_scores_equal_batch1_oracle(method):
     rng = np.random.default_rng(11)
     for _, t in module.theta_tilde().entries + model.head_parameters():
         t.data[:] = t.data + rng.normal(0.0, 0.3, size=t.shape)
-    data = generate_task("parity", 48, 3, vocab_size=8, seq_len=6,
-                         batch_size=8)[0]
+    data = generate_task("parity", 48, 3, vocab_size=8, seq_len=6)[0]
     for n in (40, 8, 1):
         est = estimate_fisher(model, data, num_samples=n)
         assert all(t.grad is None for _, t in module.theta_tilde().entries
@@ -126,8 +124,7 @@ def test_scoring_leaves_no_tape_behind_the_gate_cache():
     nodes it replays, so the cache keeps no tape of the last chunk alive."""
     model = build_model(SMALL)
     module = attach(model, PeftConfig(method="unipelt", rank=2, prefix_len=3))
-    data = generate_task("parity", 16, 3, vocab_size=8, seq_len=6,
-                         batch_size=8)[0]
+    data = generate_task("parity", 16, 3, vocab_size=8, seq_len=6)[0]
     estimate_fisher(model, data, num_samples=16)
     assert module._gates
     assert all(g.node is None for g in module._gates.values())
@@ -136,12 +133,8 @@ def test_scoring_leaves_no_tape_behind_the_gate_cache():
 def test_fisher_batching_invariance():
     model, module, data = lora_fixture()
     a = estimate_fisher(model, data, num_samples=24)
-    rows = np.concatenate([b.token_ids for b in data])
-    labels = np.concatenate([b.labels for b in data])
-    perm = np.random.default_rng(9).permutation(len(labels))
-    shuffled = [SimpleNamespace(token_ids=rows[perm][i:i + 5],
-                                labels=labels[perm][i:i + 5])
-                for i in range(0, len(labels), 5)]
+    perm = np.random.default_rng(9).permutation(len(data))
+    shuffled = Batch(data.token_ids[perm], data.labels[perm])
     b = estimate_fisher(model, shuffled, num_samples=24)
     assert a.scores.tobytes() == b.scores.tobytes()
 
@@ -149,8 +142,7 @@ def test_fisher_batching_invariance():
 def test_fisher_uses_true_labels():
     model, module, data = lora_fixture()
     a = estimate_fisher(model, data, num_samples=16)
-    flipped = [SimpleNamespace(token_ids=b.token_ids, labels=1 - b.labels)
-               for b in data]
+    flipped = Batch(data.token_ids, 1 - data.labels)
     b = estimate_fisher(model, flipped, num_samples=16)
     assert a.scores.tobytes() != b.scores.tobytes()
 
@@ -160,9 +152,8 @@ def test_non_finite_gradient_names_its_sample():
     x, y = logistic_dataset(n=40)
     x[35] = np.inf  # the 36th example in the order below, in chunk 2
     model = TinyLogistic([0.7, -1.2])
-    data = [SimpleNamespace(token_ids=x, labels=y)]
-    rows, labels = flatten(data)
-    order = sorted(range(40), key=lambda j: (rows[j].tobytes(), labels[j]))
+    data = SimpleNamespace(token_ids=x, labels=y)
+    order = sorted(range(40), key=lambda j: (x[j].tobytes(), y[j]))
     with pytest.raises(NumericError,
                        match=f"sample {order.index(35)}$"):
         estimate_fisher(model, data, num_samples=40)
@@ -179,7 +170,9 @@ def test_fisher_properties_and_validation():
     with pytest.raises(ConfigError):
         estimate_fisher(model, data, num_samples=10_000)
     with pytest.raises(ContractError):
-        estimate_fisher(model, [], num_samples=1)
+        estimate_fisher(model, Batch(np.zeros((0, 6), dtype=np.int64),
+                                     np.zeros(0, dtype=np.int64)),
+                        num_samples=1)
     with pytest.raises(ContractError):
         FisherEstimate(np.array([[1.0]]), 1)
     with pytest.raises(ContractError):

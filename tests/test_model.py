@@ -6,7 +6,7 @@ import pytest
 from peftlab import tensor as T
 from peftlab.errors import ConfigError, ContractError, ShapeError
 from peftlab.model import Batch, ModelConfig, build_model, forward
-from peftlab.tasks import flatten, generate_task
+from peftlab.tasks import generate_task
 
 from helpers import grad_close
 
@@ -83,10 +83,9 @@ def test_zero_embeddings_and_zero_head_give_flat_logits():
 
 def test_init_loss_near_log_num_classes():
     m = build_model(SMALL)
-    rows, labels = flatten(generate_task("parity", 256, 0,
-                                         vocab_size=8, seq_len=6)[0])
+    data = generate_task("parity", 256, 0, vocab_size=8, seq_len=6)[0]
     with T.no_grad():
-        ce = T.log_softmax_nll(forward(m, Batch(rows, labels)), labels).item()
+        ce = T.log_softmax_nll(forward(m, data), data.labels).item()
     assert abs(ce - np.log(2)) < 0.2
 
 

@@ -8,7 +8,7 @@ import pytest
 from peftlab import tensor as T
 from peftlab.errors import ConfigError, ContractError, NumericError
 from peftlab.fisher import select
-from peftlab.model import ModelConfig, build_model, forward
+from peftlab.model import Batch, ModelConfig, build_model, forward
 from peftlab.optim import (OptimizerState, TrainConfig, compute_ratios,
                            evaluate, step, train)
 from peftlab.peft import PeftConfig, ThetaTilde, attach
@@ -121,21 +121,33 @@ def test_optimizer_state_validation():
 
 
 def test_evaluate_matches_manual_computation():
+    """A 70-row split at batch_size=32 runs as chunks of 32, 32 and 6."""
     model = build_model(SMALL)
-    task = generate_task("parity", 32, 1, vocab_size=8, seq_len=6,
-                         batch_size=8)
-    loss, acc = evaluate(model, task[1])
-    total, hits, n = 0.0, 0, 0
-    for batch in task[1]:
+    data = generate_task("parity", 32, 1, vocab_size=8, seq_len=6,
+                         eval_size=70)[1]
+    loss, acc = evaluate(model, data, batch_size=32)
+    summed, total, hits = 0.0, 0.0, 0
+    for lo, hi in ((0, 32), (32, 64), (64, 70)):
+        rows, labels = data.token_ids[lo:hi], data.labels[lo:hi]
         with T.no_grad():
-            logits = forward(model, batch).data.astype(np.float64)
+            out = forward(model, Batch(rows, labels))
+            summed += T.log_softmax_nll(out, labels, "sum").item()
+        logits = out.data.astype(np.float64)
         shifted = logits - logits.max(axis=1, keepdims=True)
         logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        total += -logp[np.arange(len(batch)), batch.labels].sum()
-        hits += int((logits.argmax(axis=1) == batch.labels).sum())
-        n += len(batch)
-    assert abs(loss - total / n) < 1e-5
-    assert acc == hits / n
+        total += -logp[np.arange(hi - lo), labels].sum()
+        hits += int((logits.argmax(axis=1) == labels).sum())
+    assert loss == summed / 70  # bitwise: the same chunks, summed in order
+    assert abs(loss - total / 70) < 1e-5
+    assert acc == hits / 70
+
+
+@pytest.mark.parametrize("rows, batch_size", [(0, 32), (8, 0), (8, -1)])
+def test_evaluate_rejects_empty_data_and_bad_batch_size(rows, batch_size):
+    data = Batch(np.zeros((rows, 6), dtype=np.int64),
+                 np.zeros(rows, dtype=np.int64))
+    with pytest.raises(ContractError, match="batch_size >= 1"):
+        evaluate(build_model(SMALL), data, batch_size)
 
 
 def test_compute_ratios_identity_within_one_ulp():
@@ -175,8 +187,7 @@ def training_setup(seed=5, method="lora", epochs=2):
                                     num_classes=2, seed=seed))
     module = attach(model, PeftConfig(method=method, rank=2,
                                       target_layers=(1,)))
-    task = generate_task("parity", 48, seed, vocab_size=8, seq_len=6,
-                         batch_size=16)
+    task = generate_task("parity", 48, seed, vocab_size=8, seq_len=6)
     tcfg = TrainConfig(lr=0.01, epochs=epochs, batch_size=16, seed=seed)
     return model, module, task, tcfg
 

@@ -1,6 +1,7 @@
 """Public surface: ``peftlab.__all__`` and the README's library example."""
 
 import ast
+import dataclasses
 import os
 import re
 import subprocess
@@ -55,13 +56,22 @@ def test_core_runs_without_scipy():
 
 
 def test_benchmark_harness_binds_to_the_package(monkeypatch):
-    """perfbench/ looks peftlab names up by string and calls its task API;
-    a rename there would fail every benchmark run, so it fails here first."""
+    """perfbench/ looks peftlab names up by string and calls its task,
+    scoring, training and evaluation API as below; a change there would fail
+    every benchmark run, so it fails here first."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import tracer
     import workloads
+    from workloads import fisher, model, optim, peft
 
     tracer.Tracer()  # looks up every traced name, ThetaTilde.set_vector too
-    train, held_out = workloads.make_task(
-        workloads.rebind(workloads.ORDERING, 42))
-    assert train and held_out
+    cfg = workloads.rebind(workloads.ORDERING, 42)
+    train, held_out = workloads.make_task(cfg)
+    m = model.build_model(cfg.model)
+    module = peft.attach(m, cfg.peft)
+    est = fisher.estimate_fisher(m, train, num_samples=8)
+    mask = fisher.select(est, workloads.BUDGET_K, "fish")
+    report = optim.train(m, module, mask, (train, held_out),
+                         dataclasses.replace(cfg.train, epochs=1))
+    # the check SweepUnipelt._check_cell makes on every reloaded cell
+    assert report.final_eval_loss == optim.evaluate(m, held_out)[0]

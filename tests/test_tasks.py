@@ -6,26 +6,32 @@ import numpy as np
 import pytest
 
 from peftlab.errors import ConfigError
-from peftlab.tasks import as_batches, flatten, generate_task
+from peftlab.model import Batch
+from peftlab.tasks import generate_task
+
+
+def split(data):
+    return data.token_ids, data.labels
 
 
 def test_regeneration_is_bitwise_identical():
-    a = flatten(generate_task("parity", 64, 5)[0])
-    b = flatten(generate_task("parity", 64, 5)[0])
+    a = split(generate_task("parity", 64, 5)[0])
+    b = split(generate_task("parity", 64, 5, batch_size=7)[0])  # no effect
     assert a[0].tobytes() == b[0].tobytes()
     assert a[1].tobytes() == b[1].tobytes()
 
 
 def test_seeds_differ():
-    a = flatten(generate_task("parity", 64, 5)[0])
-    b = flatten(generate_task("parity", 64, 6)[0])
+    a = split(generate_task("parity", 64, 5)[0])
+    b = split(generate_task("parity", 64, 6)[0])
     assert a[0].tobytes() != b[0].tobytes()
 
 
 def test_train_eval_disjoint_and_sized():
     train, evals = generate_task("majority", 96, 2)
-    rows_t, labels_t = flatten(train)
-    rows_e, labels_e = flatten(evals)
+    assert isinstance(train, Batch) and isinstance(evals, Batch)
+    rows_t, labels_t = split(train)
+    rows_e, labels_e = split(evals)
     assert len(labels_t) == 96
     assert len(labels_e) == 24
     assert not {r.tobytes() for r in rows_t} & {r.tobytes() for r in rows_e}
@@ -33,20 +39,20 @@ def test_train_eval_disjoint_and_sized():
 
 
 def test_parity_balance_frozen():
-    rows, labels = flatten(generate_task("parity", 1024, 0)[0])
+    rows, labels = split(generate_task("parity", 1024, 0)[0])
     assert int(labels.sum()) == 492  # 48.05% positive, inside the 45-55% band
     positions = (0, rows.shape[1] // 2)
     recomputed = (rows[:, positions[0]] & 1) ^ (rows[:, positions[1]] & 1)
     assert np.array_equal(labels, recomputed)
 
     # the documented reference draw stays balanced too
-    _, labels42 = flatten(generate_task("parity", 1024, 42)[0])
+    _, labels42 = split(generate_task("parity", 1024, 42)[0])
     assert int(labels42.sum()) == 501
     assert 0.45 <= labels42.mean() <= 0.55
 
 
 def test_majority_rule_with_tie_break():
-    rows, labels = flatten(generate_task("majority", 64, 3, num_classes=3)[0])
+    rows, labels = split(generate_task("majority", 64, 3, num_classes=3)[0])
     for row, label in zip(rows, labels):
         counts = Counter(int(t) % 3 for t in row)
         best = max(counts.values())
@@ -55,18 +61,13 @@ def test_majority_rule_with_tie_break():
 
 
 def test_copy_class_rule():
-    rows, labels = flatten(generate_task("copy-class", 64, 4, num_classes=4)[0])
+    rows, labels = split(generate_task("copy-class", 64, 4, num_classes=4)[0])
     assert np.array_equal(labels, rows[:, 0] % 4)
 
 
 def test_tokens_within_vocab():
-    rows, _ = flatten(generate_task("parity", 64, 7, vocab_size=5)[0])
+    rows, _ = split(generate_task("parity", 64, 7, vocab_size=5)[0])
     assert rows.min() >= 0 and rows.max() < 5
-
-
-def test_batch_chunking():
-    train, _ = generate_task("parity", 70, 0, batch_size=32)
-    assert [len(b) for b in train] == [32, 32, 6]
 
 
 def test_validation_errors():
@@ -76,3 +77,7 @@ def test_validation_errors():
         generate_task("parity", 8, 0)
     with pytest.raises(ConfigError):
         generate_task("parity", 64, 0, vocab_size=2, seq_len=2)
+    with pytest.raises(ConfigError, match="eval_size"):
+        generate_task("parity", 16, 0, seq_len=4, eval_size=-5)
+    with pytest.raises(ConfigError, match="eval_size"):
+        generate_task("parity", 16, 0, seq_len=4, eval_size=0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from peftlab import tensor as T
-from peftlab.errors import ContractError, NumericError, ShapeError
+from peftlab.errors import ContractError, GraphError, NumericError, ShapeError
 
 from helpers import check_grads, grad_close, random_inputs, scalar_sum
 
@@ -306,6 +306,29 @@ def test_backward_drops_the_tape_it_replays():
     assert loss.node is None
     assert hidden_data() is None
     assert w.grad is not None
+
+
+def test_a_second_backward_through_a_replayed_graph_raises():
+    w = T.Tensor(np.ones(3), requires_grad=True)
+    loss = T.sum_axis(T.scale(w, 2.0), 0)
+    T.backward(loss)
+    with pytest.raises(GraphError, match="already replayed"):
+        T.backward(loss)
+    assert w.grad.tolist() == [2.0, 2.0, 2.0] and loss.grad is None
+    h = T.scale(w, 2.0)
+    T.backward(T.sum_axis(h, 0))
+    with pytest.raises(GraphError, match="already replayed"):
+        T.backward(T.sum_axis(T.scale(h, 3.0), 0))
+
+    x = _marked(np.ones((4, 3)))
+    loss = scalar_sum(T.hadamard(x, w))
+    T.backward(loss, per_example=[w])
+    with pytest.raises(GraphError, match="already replayed"):
+        T.backward(loss, per_example=[w])
+    h = T.hadamard(x, w)
+    T.backward(scalar_sum(h), per_example=[w])
+    with pytest.raises(GraphError, match="already replayed"):
+        T.backward(scalar_sum(T.scale(h, 3.0)), per_example=[w])
 
 
 def test_per_example_backward_rejects_what_it_cannot_split():
