@@ -219,6 +219,10 @@ def load_checkpoint(path) -> CheckpointState:
         start, nbytes = info["offset"], info["nbytes"]
         if start + nbytes > len(payload):
             raise CheckpointError(f"{path}: mask bits missing or truncated")
+        view_length = module.theta_tilde().length
+        if nbytes != view_length:
+            raise CheckpointError(f"{path}: mask holds {nbytes} bits but the "
+                                  f"flat view has {view_length} coordinates")
         bits = np.frombuffer(payload[start:start + nbytes], dtype=np.uint8)
         mask = SparsityMask(bits.copy(), info["strategy"], info["seed"])
         if mask.k != info["k"]:

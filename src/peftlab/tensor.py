@@ -19,6 +19,14 @@ uses the record to return each leaf's gradient per example; see there.
 Per-example code lives only where an input without the example axis meets
 an output with it (``_sum_to`` and ``matmul``); other pullbacks have none.
 
+Importing this module sets glibc's heap policy for the whole process (see
+``_keep_freed_memory_mapped``). ``backward`` frees the tape as it goes, so
+each training step frees megabytes of float32 arrays. Under glibc's default
+policy the heap top goes back to the kernel and the next forward pass
+faults every page in again; how many faults a step pays then depends on
+what the process freed before. Fixed thresholds keep the freed memory
+mapped for the next step. No arithmetic depends on it.
+
 A single graph must stay on one thread. ``no_grad`` and a per-example
 ``backward`` switch process-wide state while they run, so no other graph
 may record or run backward concurrently with them. Tensors with
@@ -27,6 +35,7 @@ may record or run backward concurrently with them. Tensors with
 
 from __future__ import annotations
 
+import ctypes
 from typing import Callable, Sequence
 
 import numpy as np
@@ -60,6 +69,36 @@ __all__ = [
     "sum_axis",
     "mean_axis",
 ]
+
+# glibc's mallopt parameter numbers (malloc.h) and the values set for them
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 << 20  # glibc's maximum on 64-bit platforms
+_TRIM_THRESHOLD = 64 << 20
+
+
+def _keep_freed_memory_mapped() -> None:
+    """Fix glibc's heap thresholds for the whole process.
+
+    glibc serves blocks above ``M_MMAP_THRESHOLD`` (128 KiB at start) with
+    their own mmap, unmapped on free, and returns the heap top to the kernel
+    once more than ``M_TRIM_THRESHOLD`` of it is free. Both thresholds grow
+    only after the process frees a large mmapped block, so a process that
+    only trains keeps faulting its tape in, step after step. Fixing them
+    here keeps every step's arrays on the heap and that heap mapped. Where
+    the C library has no ``mallopt`` this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
+_keep_freed_memory_mapped()
 
 _grad_enabled = True
 # True while a per-example backward runs the pullback of a node with the

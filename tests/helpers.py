@@ -1,7 +1,13 @@
 """Shared test utilities: gradient checking against central differences,
-and the batch-1 loss that sequential oracles are built from."""
+the batch-1 loss that sequential oracles are built from, and a fresh
+interpreter for checks that this process's state would spoil."""
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -67,3 +73,12 @@ def example_nll(model, row, label):
     """Loss of one example through a batch-1 forward pass."""
     batch = Batch(np.asarray(row)[None, :], np.asarray([label]))
     return T.log_softmax_nll(forward(model, batch), batch.labels, "sum")
+
+
+def run_fresh(script: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a new interpreter that imports this peftlab."""
+    src = str(Path(T.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)

@@ -190,6 +190,22 @@ def test_manifest_missing_field_is_checkpoint_error(tmp_path, record, field,
         load_checkpoint(hacked)
 
 
+def test_mask_length_must_match_the_flat_view(tmp_path):
+    _, module, mask = build_state(small_config())
+    n = module.theta_tilde().length
+
+    def shrink_mask(manifest):
+        manifest["mask"]["nbytes"] = 5
+        manifest["mask"]["k"] = int(mask.bits[:5].sum())
+
+    # k matches the 5 bits kept, so only the length check can fire
+    hacked = rewrite_manifest(tmp_path, "short-mask.bin", shrink_mask)
+    with pytest.raises(CheckpointError,
+                       match=f"mask holds 5 bits but the flat view has {n} "
+                             f"coordinates"):
+        load_checkpoint(hacked)
+
+
 def test_eval_of_manifest_without_config_exits_2(tmp_path, capsys):
     hacked = rewrite_manifest(tmp_path, "noconfig.bin",
                               lambda manifest: manifest.pop("config"))

@@ -2,13 +2,12 @@
 
 import ast
 import dataclasses
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import peftlab
+
+from helpers import run_fresh
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -47,11 +46,7 @@ def test_core_runs_without_scipy():
         " np.zeros(2, dtype=np.int64)))\n"
         "assert out.shape == (2, 2), out.shape\n"
     )
-    src = str(Path(peftlab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = run_fresh(script)
     assert done.returncode == 0, done.stderr
 
 
