@@ -30,7 +30,7 @@ from .optim import (EpochRecord, OptimizerState, TrainConfig, TrainReport,
                     compute_ratios, evaluate, train)
 from .peft import PeftConfig, PeftModule, ThetaTilde, attach
 from .tasks import TASK_KINDS, generate_task
-from .tensor import Tensor, backward, finite_diff_grad, no_grad
+from .tensor import Tensor, backward, no_grad
 
 __version__ = "0.1.0"
 
@@ -44,8 +44,8 @@ __all__ = [
     "TrainConfig", "TrainReport", "TransformerModel", "attach",
     "backward", "budget_to_k", "build_model", "compare_strategies",
     "compute_ratios", "config_hash", "estimate_fisher", "evaluate",
-    "finite_diff_grad", "forward", "from_dict", "from_json", "generate_task",
-    "load_checkpoint", "load_mask", "load_scores",
+    "forward", "from_dict", "from_json", "generate_task", "load_checkpoint",
+    "load_mask", "load_scores",
     "mask_gradients", "no_grad", "run_experiment", "save_checkpoint",
     "save_mask", "save_scores", "select", "to_dict", "to_json", "train",
 ]

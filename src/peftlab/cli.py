@@ -207,8 +207,7 @@ def _cmd_train(cfg: ExperimentConfig) -> int:
 
 def _cmd_eval(args) -> int:
     state = load_checkpoint(args.checkpoint)
-    loss, acc = evaluate(state.model, _make_task(state.cfg)[1],
-                         state.cfg.train.batch_size)
+    loss, acc = evaluate(state.model, _make_task(state.cfg)[1])
     print(json.dumps({"eval_loss": loss, "eval_accuracy": acc,
                       "config_hash": state.config_hash}, sort_keys=True))
     return 0
@@ -248,12 +247,18 @@ def _cmd_report(args) -> int:
                 docs.append((path, json.load(fh)))
         except (OSError, json.JSONDecodeError) as e:
             raise ConfigError(f"cannot read report '{path}': {e}") from e
-    print("strategy\tseed\tk\tratio2\tfinal_loss\tfinal_acc\teval-loss curve")
+    rows = []
     for path, doc in docs:
-        curve = [r["eval_loss"] for r in doc["records"]]
-        print(f"{doc['strategy']}\t{doc['seed']}\t{doc['k']}\t"
-              f"{doc['ratio2']:.6f}\t{doc['final_eval_loss']:.4f}\t"
-              f"{doc['final_eval_accuracy']:.4f}\t{_sparkline(curve)}")
+        try:
+            curve = [r["eval_loss"] for r in doc["records"]]
+            rows.append(f"{doc['strategy']}\t{doc['seed']}\t{doc['k']}\t"
+                        f"{doc['ratio2']:.6f}\t{doc['final_eval_loss']:.4f}\t"
+                        f"{doc['final_eval_accuracy']:.4f}\t"
+                        f"{_sparkline(curve)}")
+        except (KeyError, TypeError, ValueError) as e:
+            raise ConfigError(f"'{path}' is not a run report") from e
+    print("strategy\tseed\tk\tratio2\tfinal_loss\tfinal_acc\teval-loss curve")
+    print("\n".join(rows))
     return 0
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import typing
 from dataclasses import dataclass
 
@@ -92,6 +93,21 @@ def to_dict(cfg: ExperimentConfig) -> dict:
     return _to_plain(cfg)
 
 
+def _check_scalar(tp: type, value, where: str) -> None:
+    """An int field takes an int but not a bool; a float field takes an int
+    or a finite float; any other field takes an instance of its type."""
+    if tp is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    elif tp is float:
+        ok = (isinstance(value, int) and not isinstance(value, bool)) or \
+            (isinstance(value, float) and math.isfinite(value))
+    else:
+        ok = isinstance(value, tp)
+    if not ok:
+        want = "a finite float" if tp is float else tp.__name__
+        raise ConfigError(f"{where}: expected {want}, got {value!r}")
+
+
 def _build(cls, data, where: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected an object, got "
@@ -104,14 +120,23 @@ def _build(cls, data, where: str):
     kwargs = {}
     for name, value in data.items():
         tp = hints[name]
-        origin = typing.get_origin(tp)
+        options = typing.get_args(tp)
+        if type(None) in options:
+            if value is None:
+                kwargs[name] = None
+                continue
+            tp = next(o for o in options if o is not type(None))
         if dataclasses.is_dataclass(tp):
             kwargs[name] = _build(tp, value, f"{where}.{name}")
-        elif origin is tuple:
+        elif typing.get_origin(tp) is tuple:
             if not isinstance(value, (list, tuple)):
                 raise ConfigError(f"{where}.{name}: expected a list")
+            for i, item in enumerate(value):
+                _check_scalar(typing.get_args(tp)[0], item,
+                              f"{where}.{name}[{i}]")
             kwargs[name] = tuple(value)
         else:
+            _check_scalar(tp, value, f"{where}.{name}")
             kwargs[name] = value
     try:
         return cls(**kwargs)

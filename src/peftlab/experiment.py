@@ -110,8 +110,7 @@ def _setup(cfg: ExperimentConfig, score: bool):
     if score:
         with _stage("estimate-scores"):
             estimate = estimate_fisher(model, task[0],
-                                       num_samples=cfg.mask.fisher_samples,
-                                       config_hash=config_mod.config_hash(cfg))
+                                       num_samples=cfg.mask.fisher_samples)
     return model, task, module, estimate
 
 

@@ -49,7 +49,6 @@ class FisherEstimate:
 
     scores: np.ndarray
     num_samples: int
-    config_hash: str = ""
 
     def __post_init__(self):
         self.scores = np.asarray(self.scores, dtype=np.float32)
@@ -97,8 +96,7 @@ class SparsityMask:
         return np.flatnonzero(self.bits)
 
 
-def estimate_fisher(model, dataset, num_samples: int = 128,
-                    config_hash: str = "") -> FisherEstimate:
+def estimate_fisher(model, dataset, num_samples: int = 128) -> FisherEstimate:
     """Mean squared per-example gradient over the model's flat adapter view.
 
     ``model`` needs two methods: ``fisher_parameters()`` returning the flat
@@ -148,7 +146,7 @@ def estimate_fisher(model, dataset, num_samples: int = 128,
             acc += row
         del per_leaf, g  # not held through the next chunk's forward pass
     scores = (acc / num_samples).astype(np.float32)
-    return FisherEstimate(scores, num_samples, config_hash)
+    return FisherEstimate(scores, num_samples)
 
 
 def select(scores, k: int, strategy: str, seed: int | None = None) -> SparsityMask:

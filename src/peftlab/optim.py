@@ -26,16 +26,19 @@ OPTIMIZERS = ("sgd", "adamw")
 
 
 def _check_hyperparameters(kind: str, lr: float, beta1: float, beta2: float,
-                           weight_decay: float) -> None:
+                           eps: float, weight_decay: float) -> None:
     if kind not in OPTIMIZERS:
         raise ConfigError(f"unknown optimizer '{kind}'; expected one of "
                           f"{OPTIMIZERS}")
-    if lr <= 0:
-        raise ConfigError(f"lr must be positive, got {lr}")
+    if not (math.isfinite(lr) and lr > 0):
+        raise ConfigError(f"lr must be finite and positive, got {lr}")
     if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
         raise ConfigError(f"betas must lie in [0, 1), got ({beta1}, {beta2})")
-    if weight_decay < 0:
-        raise ConfigError(f"weight_decay must be >= 0, got {weight_decay}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ConfigError(f"eps must be finite and positive, got {eps}")
+    if not (math.isfinite(weight_decay) and weight_decay >= 0):
+        raise ConfigError(f"weight_decay must be finite and >= 0, got "
+                          f"{weight_decay}")
 
 
 @dataclass
@@ -56,7 +59,7 @@ class OptimizerState:
     def create(cls, kind: str, lr: float, length: int,
                beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
                weight_decay: float = 0.0) -> "OptimizerState":
-        _check_hyperparameters(kind, lr, beta1, beta2, weight_decay)
+        _check_hyperparameters(kind, lr, beta1, beta2, eps, weight_decay)
         state = cls(kind, lr, beta1, beta2, eps, weight_decay)
         if kind == "adamw":
             state.exp_avg = np.zeros(length, dtype=np.float32)
@@ -129,7 +132,7 @@ class TrainConfig:
 
     def __post_init__(self):
         _check_hyperparameters(self.optimizer, self.lr, self.beta1,
-                               self.beta2, self.weight_decay)
+                               self.beta2, self.eps, self.weight_decay)
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
@@ -169,21 +172,16 @@ class TrainReport:
         return self.records[-1].eval_accuracy
 
 
-def evaluate(model: TransformerModel, data: Batch,
-             batch_size: int = 32) -> tuple[float, float]:
-    """Mean cross entropy and argmax accuracy over the rows of ``data``, run
-    in consecutive ``batch_size``-row chunks whose loss sums add in order."""
-    if not len(data) or batch_size < 1:
-        raise ContractError(f"evaluate needs rows and a batch_size >= 1, got "
-                            f"{len(data)} rows and batch_size {batch_size}")
-    loss_sum = 0.0
-    hits = 0
+def evaluate(model: TransformerModel, data: Batch) -> tuple[float, float]:
+    """Mean cross entropy and argmax accuracy over the rows of ``data``, from
+    one forward pass over the whole split."""
+    if not len(data):
+        raise ContractError("evaluate needs a non-empty split")
     with T.no_grad():
-        for batch in _rebatch(data, np.arange(len(data)), batch_size):
-            logits = forward(model, batch)
-            loss_sum += T.log_softmax_nll(logits, batch.labels, "sum").item()
-            hits += int((logits.data.argmax(axis=1) == batch.labels).sum())
-    return loss_sum / len(data), hits / len(data)
+        logits = forward(model, data)
+        loss = T.log_softmax_nll(logits, data.labels).item()
+    hits = int((logits.data.argmax(axis=1) == data.labels).sum())
+    return loss, hits / len(data)
 
 
 def compute_ratios(model: TransformerModel, module: PeftModule,
@@ -201,12 +199,6 @@ def compute_ratios(model: TransformerModel, module: PeftModule,
                             f"length {length}")
     total = model.param_count() + module.param_count()
     return k / total, k / length
-
-
-def _rebatch(split: Batch, order: np.ndarray, batch_size: int):
-    for i in range(0, len(order), batch_size):
-        idx = order[i:i + batch_size]
-        yield Batch(split.token_ids[idx], split.labels[idx])
 
 
 def train(model: TransformerModel, module: PeftModule,
@@ -240,7 +232,7 @@ def train(model: TransformerModel, module: PeftModule,
     seed = tcfg.seed
 
     records: list[EpochRecord] = []
-    eval_loss, eval_acc = evaluate(model, eval_split, tcfg.batch_size)
+    eval_loss, eval_acc = evaluate(model, eval_split)
     records.append(EpochRecord(0, None, eval_loss, eval_acc))
 
     def report(diverged=False, stopped=None):
@@ -258,7 +250,9 @@ def train(model: TransformerModel, module: PeftModule,
         order = rng.permutation(len(train_split))
         loss_sum = 0.0
         seen = 0
-        for batch in _rebatch(train_split, order, tcfg.batch_size):
+        for i in range(0, len(order), tcfg.batch_size):
+            idx = order[i:i + tcfg.batch_size]
+            batch = Batch(train_split.token_ids[idx], train_split.labels[idx])
             model.zero_grads()
             loss = T.log_softmax_nll(forward(model, batch), batch.labels)
             value = loss.item()
@@ -276,7 +270,7 @@ def train(model: TransformerModel, module: PeftModule,
             loss_sum += value * len(batch)
             seen += len(batch)
             step_idx += 1
-        eval_loss, eval_acc = evaluate(model, eval_split, tcfg.batch_size)
+        eval_loss, eval_acc = evaluate(model, eval_split)
         records.append(EpochRecord(epoch, loss_sum / seen, eval_loss, eval_acc))
         if tcfg.early_stop:
             if eval_loss < best_loss:

@@ -87,8 +87,10 @@ class PeftConfig:
         for s in self.unipelt_submodules:
             if s not in UNIPELT_SUBMODULES:
                 raise ConfigError(f"unknown unipelt submodule '{s}'")
-        if self.lora_alpha is not None and self.lora_alpha <= 0:
-            raise ConfigError("lora_alpha must be positive")
+        if self.lora_alpha is not None and \
+                not (np.isfinite(self.lora_alpha) and self.lora_alpha > 0):
+            raise ConfigError(f"lora_alpha must be finite and positive, got "
+                              f"{self.lora_alpha}")
 
     @property
     def alpha(self) -> float:

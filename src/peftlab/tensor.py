@@ -46,7 +46,6 @@ __all__ = [
     "Tensor",
     "no_grad",
     "backward",
-    "finite_diff_grad",
     "matmul",
     "add",
     "subtract",
@@ -712,30 +711,3 @@ def mean_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
 
     return _record("mean_axis", out.astype(np.float32), (a,), pull)
 
-
-# ---------------------------------------------------------------------------
-# finite differences
-
-
-def finite_diff_grad(f: Callable[[Tensor], float], w: Tensor,
-                     step: float = 1e-3) -> Tensor:
-    """Central-difference gradient of scalar ``f`` at ``w``.
-
-    ``f`` receives a fresh non-grad Tensor per evaluation and must be
-    deterministic. The result is float32, matching ``backward`` outputs.
-    """
-    base = w.data.ravel()
-    grad = np.empty(base.size, dtype=np.float64)
-    for i in range(base.size):
-        plus = base.copy()
-        plus[i] = np.float32(plus[i] + step)
-        minus = base.copy()
-        minus[i] = np.float32(minus[i] - step)
-        f_plus = float(f(Tensor(plus.reshape(w.shape))))
-        f_minus = float(f(Tensor(minus.reshape(w.shape))))
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            raise NumericError(f"finite_diff_grad: non-finite objective at "
-                               f"coordinate {i}")
-        h = float(plus[i]) - float(minus[i])
-        grad[i] = (f_plus - f_minus) / h
-    return Tensor(grad.reshape(w.shape))

@@ -1,4 +1,4 @@
-"""Shared test utilities: gradient checking against central differences,
+"""Shared test utilities: central-difference gradients and gradient checking,
 the batch-1 loss that sequential oracles are built from, and a fresh
 interpreter for checks that this process's state would spoil."""
 
@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from peftlab import tensor as T
+from peftlab.errors import NumericError
 from peftlab.model import Batch, forward
 
 
@@ -42,6 +43,29 @@ def grad_close(got, want, rtol=1e-3):
     return bool(np.all(np.abs(g - x) <= tol))
 
 
+def finite_diff_grad(f, w, step=1e-3):
+    """Central-difference gradient of scalar ``f`` at Tensor ``w``.
+
+    ``f`` receives a fresh non-grad Tensor per evaluation and must be
+    deterministic. The result is float32, matching ``backward`` outputs.
+    """
+    base = w.data.ravel()
+    grad = np.empty(base.size, dtype=np.float64)
+    for i in range(base.size):
+        plus = base.copy()
+        plus[i] = np.float32(plus[i] + step)
+        minus = base.copy()
+        minus[i] = np.float32(minus[i] - step)
+        f_plus = float(f(T.Tensor(plus.reshape(w.shape))))
+        f_minus = float(f(T.Tensor(minus.reshape(w.shape))))
+        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+            raise NumericError(f"finite_diff_grad: non-finite objective at "
+                               f"coordinate {i}")
+        h = float(plus[i]) - float(minus[i])
+        grad[i] = (f_plus - f_minus) / h
+    return T.Tensor(grad.reshape(w.shape))
+
+
 def check_grads(build, arrays, seed, rtol=1e-3, step=1e-3):
     """Compare backward against finite_diff_grad for every input.
 
@@ -62,7 +86,7 @@ def check_grads(build, arrays, seed, rtol=1e-3, step=1e-3):
             subs[i] = t
             return scalar_sum(T.hadamard(build(*subs), proj)).item()
 
-        fd = T.finite_diff_grad(objective, T.Tensor(arrays[i]), step=step)
+        fd = finite_diff_grad(objective, T.Tensor(arrays[i]), step=step)
         assert leaf.grad is not None, f"input {i} got no grad"
         assert grad_close(leaf.grad, fd.data, rtol=rtol), (
             f"input {i}: backward disagrees with finite differences\n"

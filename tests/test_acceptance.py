@@ -21,8 +21,7 @@ from helpers import check_grads, example_nll, random_inputs
 from peftlab import tensor as T
 from peftlab.checkpoint import (atomic_write_text, load_checkpoint,
                                 save_checkpoint)
-from peftlab.config import (ExperimentConfig, MaskConfig, TaskConfig,
-                            config_hash)
+from peftlab.config import ExperimentConfig, MaskConfig, TaskConfig
 from peftlab.experiment import run_experiment
 from peftlab.fisher import (FisherEstimate, budget_to_k, estimate_fisher,
                             load_mask, load_scores, save_mask, save_scores,
@@ -456,8 +455,7 @@ def ordering_runs():
                              vocab_size=probe.model.vocab_size,
                              seq_len=probe.model.max_seq_len)[0]
         shared[seed] = estimate_fisher(model, data,
-                                       num_samples=probe.mask.fisher_samples,
-                                       config_hash=config_hash(probe))
+                                       num_samples=probe.mask.fisher_samples)
 
     reports = {}
     for strategy in ("fish", "random", "reverse"):

@@ -88,6 +88,19 @@ def test_malformed_config_is_validation_error(tmp_path, capsys):
     assert "warp_speed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"model": {"hidden_dim": 32.0}}', "model.hidden_dim: expected int"),
+    ('{"train": {"lr": NaN}}', "train.lr: expected a finite float"),
+    ('{"train": {"eps": 0.0}}', "eps must be finite and positive"),
+])
+def test_mistyped_config_value_is_validation_error(tmp_path, capsys, text,
+                                                   message):
+    path = tmp_path / "typed.json"
+    path.write_text(text)
+    assert cli(["train", "--config", str(path), "--epochs", "0"]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_out_of_range_beta_is_validation_error(tmp_path, cfg_path, capsys):
     with open(cfg_path) as fh:
         doc = json.load(fh)
@@ -224,3 +237,13 @@ def test_report_renders_stored_runs(tmp_path, cfg_path, capsys):
 
 def test_report_missing_path_is_validation_error(tmp_path):
     assert cli(["report", str(tmp_path / "none")]) == 1
+
+
+def test_report_of_a_non_report_file_is_validation_error(tmp_path, cfg_path,
+                                                         capsys):
+    listing = tmp_path / "list.json"
+    listing.write_text("[1, 2]")
+    for path in (cfg_path, str(listing)):
+        assert cli(["report", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "is not a run report" in err

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -118,3 +119,48 @@ def test_tuple_fields_accept_lists():
     cfg = from_dict(doc)
     assert cfg.peft.target_layers == (1,)
     assert cfg.peft.target_weights == ("W_Q", "W_V")
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("model", "hidden_dim", 32.0, "model.hidden_dim: expected int"),
+    ("task", "size", 64.0, "task.size: expected int"),
+    ("task", "eval_size", True, "task.eval_size: expected int"),
+    ("peft", "rank", 2.0, "peft.rank: expected int"),
+    ("peft", "target_layers", [1.0], r"target_layers\[0\]: expected int"),
+    ("peft", "target_weights", ["W_Q", 3], r"weights\[1\]: expected str"),
+    ("peft", "lora_alpha", math.nan, "lora_alpha: expected a finite float"),
+    ("peft", "include_gates", 1, "include_gates: expected bool"),
+    ("train", "batch_size", 8.5, "train.batch_size: expected int"),
+    ("train", "epochs", True, "train.epochs: expected int"),
+    ("train", "lr", math.nan, "train.lr: expected a finite float"),
+    ("train", "weight_decay", math.inf, "weight_decay: expected a finite"),
+    ("mask", "budget", "0.5", "mask.budget: expected a finite float"),
+])
+def test_field_types_checked(section, key, value, message):
+    doc = to_dict(sample_config())
+    doc[section][key] = value
+    with pytest.raises(ConfigError, match=message):
+        from_dict(doc)
+
+
+def test_float_fields_take_ints_and_optional_fields_take_null():
+    doc = to_dict(sample_config())
+    doc["train"]["lr"] = 1
+    doc["peft"]["lora_alpha"] = 8
+    doc["task"]["eval_size"] = None
+    cfg = from_dict(doc)
+    assert (cfg.train.lr, cfg.peft.lora_alpha, cfg.task.eval_size) == \
+        (1, 8, None)
+    assert to_dict(cfg) == doc
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"lr": math.nan}, "lr must be finite"),
+    ({"lr": math.inf}, "lr must be finite"),
+    ({"eps": 0.0}, "eps must be finite and positive"),
+    ({"eps": math.nan}, "eps must be finite and positive"),
+    ({"weight_decay": math.nan}, "weight_decay must be finite"),
+])
+def test_nonfinite_hyperparameters_rejected(kwargs, message):
+    with pytest.raises(ConfigError, match=message):
+        TrainConfig(**kwargs)

@@ -8,7 +8,7 @@ from peftlab.errors import ConfigError, ContractError, ShapeError
 from peftlab.model import Batch, ModelConfig, build_model, forward
 from peftlab.tasks import generate_task
 
-from helpers import grad_close
+from helpers import finite_diff_grad, grad_close
 
 SMALL = ModelConfig(num_layers=1, hidden_dim=8, num_heads=2, ffn_dim=16,
                     vocab_size=8, max_seq_len=6, num_classes=2, seed=3)
@@ -109,7 +109,7 @@ def test_model_gradients_match_finite_differences(pick):
         finally:
             tensor.data = saved
 
-    fd = T.finite_diff_grad(objective, T.Tensor(tensor.data.copy()))
+    fd = finite_diff_grad(objective, T.Tensor(tensor.data.copy()))
     assert grad_close(tensor.grad, fd.data)
 
 

@@ -124,33 +124,42 @@ def test_optimizer_state_validation():
 
 
 def test_evaluate_matches_manual_computation():
-    """A 70-row split at batch_size=32 runs as chunks of 32, 32 and 6."""
+    """A 70-row split runs as one forward pass and one mean NLL."""
     model = build_model(SMALL)
     data = generate_task("parity", 32, 1, vocab_size=8, seq_len=6,
                          eval_size=70)[1]
-    loss, acc = evaluate(model, data, batch_size=32)
-    summed, total, hits = 0.0, 0.0, 0
-    for lo, hi in ((0, 32), (32, 64), (64, 70)):
-        rows, labels = data.token_ids[lo:hi], data.labels[lo:hi]
-        with T.no_grad():
-            out = forward(model, Batch(rows, labels))
-            summed += T.log_softmax_nll(out, labels, "sum").item()
-        logits = out.data.astype(np.float64)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        total += -logp[np.arange(hi - lo), labels].sum()
-        hits += int((logits.argmax(axis=1) == labels).sum())
-    assert loss == summed / 70  # bitwise: the same chunks, summed in order
-    assert abs(loss - total / 70) < 1e-5
-    assert acc == hits / 70
+    loss, acc = evaluate(model, data)
+    with T.no_grad():
+        out = forward(model, data)
+        want = T.log_softmax_nll(out, data.labels).item()
+    logits = out.data.astype(np.float64)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    reference = -logp[np.arange(70), data.labels].mean()
+    assert loss == want  # bitwise: the same pass and the same reduction
+    assert abs(loss - reference) < 1e-5
+    assert acc == int((logits.argmax(axis=1) == data.labels).sum()) / 70
 
 
-@pytest.mark.parametrize("rows, batch_size", [(0, 32), (8, 0), (8, -1)])
-def test_evaluate_rejects_empty_data_and_bad_batch_size(rows, batch_size):
-    data = Batch(np.zeros((rows, 6), dtype=np.int64),
-                 np.zeros(rows, dtype=np.int64))
-    with pytest.raises(ContractError, match="batch_size >= 1"):
-        evaluate(build_model(SMALL), data, batch_size)
+def test_evaluate_rejects_empty_data():
+    data = Batch(np.zeros((0, 6), dtype=np.int64), np.zeros(0, dtype=np.int64))
+    with pytest.raises(ContractError, match="non-empty split"):
+        evaluate(build_model(SMALL), data)
+
+
+@pytest.mark.parametrize("batch_size", [7, 16, 32])
+def test_final_eval_loss_does_not_depend_on_batch_size(batch_size):
+    """The last eval loss train records is what evaluate gives the trained
+    model, whatever minibatch size it trained at."""
+    model = build_model(SMALL)
+    module = attach(model, PeftConfig(method="unipelt", rank=2, prefix_len=2,
+                                      target_layers=(1,)))
+    task = generate_task("parity", 64, 3, vocab_size=8, seq_len=6,
+                         eval_size=40)
+    report = train(model, module, None, task,
+                   TrainConfig(lr=0.05, epochs=1, batch_size=batch_size,
+                               seed=3))
+    assert report.final_eval_loss == evaluate(model, task[1])[0]
 
 
 def test_compute_ratios_identity_within_one_ulp():

@@ -11,7 +11,7 @@ from peftlab.errors import ConfigError, ContractError
 from peftlab.model import Batch, ModelConfig, build_model, forward
 from peftlab.peft import METHODS, PeftConfig, attach, pissa_init
 
-from helpers import grad_close
+from helpers import finite_diff_grad, grad_close
 
 CFG32 = ModelConfig(num_layers=2, hidden_dim=32, num_heads=4, ffn_dim=64,
                     vocab_size=16, max_seq_len=8, num_classes=2, seed=42)
@@ -342,6 +342,8 @@ def test_config_validation():
         PeftConfig(method="unipelt", unipelt_submodules=("mystery",))
     with pytest.raises(ConfigError):
         PeftConfig(method="prefix", prefix_len=0)
+    with pytest.raises(ConfigError, match="lora_alpha must be finite"):
+        PeftConfig(method="lora", lora_alpha=float("nan"))
 
 
 def test_target_layer_out_of_range_for_model():
@@ -405,7 +407,7 @@ def test_theta_gradients_match_finite_differences(method, cfg):
             finally:
                 t.data = saved
 
-        fd = T.finite_diff_grad(objective, T.Tensor(t.data.copy()))
+        fd = finite_diff_grad(objective, T.Tensor(t.data.copy()))
         assert t.grad is not None, name
         assert grad_close(t.grad, fd.data), name
 
