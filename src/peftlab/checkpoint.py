@@ -186,6 +186,9 @@ def load_checkpoint(path) -> CheckpointState:
     for entry in manifest["tensors"]:
         _require(entry, _TENSOR_FIELDS, "tensor entry", path)
         name = entry["name"]
+        if name in restored:
+            raise CheckpointError(f"{path}: manifest names tensor '{name}' "
+                                  f"twice")
         start, nbytes = entry["offset"], entry["nbytes"]
         if start + nbytes > len(payload):
             raise CheckpointError(f"{path}: payload for tensor '{name}' is "

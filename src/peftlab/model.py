@@ -93,7 +93,11 @@ class ForwardHooks:
         return T.add(T.matmul(x, w), b)
 
     def prefix_kv(self, layer: int):
-        """Return (P_K, P_V, gate) with P_* shaped [H, l, head_dim], or None."""
+        """Return (P_K, P_V, gate) with P_* shaped [H, l, head_dim], or None.
+
+        The gate is None except under UniPELT, where it is a [B, 1] tensor
+        that scales the prefix columns' un-normalized attention weights.
+        """
         return None
 
     def after_attn_proj(self, layer: int, h: Tensor) -> Tensor:

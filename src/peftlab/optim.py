@@ -116,7 +116,7 @@ def step(params: ThetaTilde, grads: np.ndarray, mask: SparsityMask | None,
 # training
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     optimizer: str = "adamw"
     lr: float = 5e-5

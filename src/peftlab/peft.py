@@ -8,6 +8,10 @@ scoring, masking, and the optimizer operate on, so its ordering is part of
 the persistence format: layer index ascending, then group name
 lexicographic, then the method's part order (B before A before m; P_K
 before P_V), row-major within a tensor.
+
+UniPELT gates the lora, adapter and prefix modules it combines. The gating
+lives in :class:`UniPeltModule` alone: its parts expose their ungated
+contribution and know nothing of gates.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ class PeftConfig:
     scaling applies to standard-init low-rank branches only (a spectral init
     must reproduce the base weight exactly, so it is left unscaled).
     ``init='pissa'`` (spectral residual init) is supported for lora.
+    ``include_gates=False`` keeps UniPELT's gate weights out of the flat
+    view, frozen at their initial draw.
     """
 
     method: str = "lora"
@@ -213,20 +219,19 @@ def _expand_targets(model: TransformerModel, cfg: PeftConfig) \
 
 
 class PeftModule(ForwardHooks):
-    """Base class: owns trainable tensors and their flat view.
+    """Base class: owns trainable tensors; :func:`attach` gives their view.
 
     Subclasses pass one ``(layer, group, part, tensor)`` record per
     trainable tensor. ``records`` keeps them in the canonical flat order
     (layer, group lexicographic, part order), and the view's segment names
     are ``layer{n}/{group}/{part}``.
 
-    Only :class:`UniPeltModule` passes a ``gate_provider``. A module built
-    with one is a UniPELT part: the composite's view holds its tensors, so it
-    builds no view of its own and ``theta_tilde()`` raises ContractError.
+    Only the module that :func:`attach` hooks in gets a view. The parts a
+    :class:`UniPeltModule` builds live in the composite's view, so
+    ``theta_tilde()`` on a part raises ContractError.
     """
 
     method: str = "?"
-    gate_provider = None
 
     def __init__(self, cfg: PeftConfig,
                  records: list[tuple[int, str, str, Tensor]]):
@@ -234,15 +239,13 @@ class PeftModule(ForwardHooks):
         self.records = sorted(records,
                               key=lambda r: (r[0], r[1], _PART_ORDER[r[2]]))
         self._theta = None
-        if self.gate_provider is None:
-            self._theta = ThetaTilde([(f"layer{layer}/{group}/{part}", t)
-                                      for layer, group, part, t in self.records])
 
     def theta_tilde(self) -> ThetaTilde:
         if self._theta is None:
-            raise ContractError(f"the {self.method} part of a unipelt module "
-                                f"has no view of its own; use the unipelt "
-                                f"module's theta_tilde()")
+            raise ContractError(f"this {self.method} module has no view of "
+                                f"its own: only an attached module has one "
+                                f"(a unipelt part lives in the unipelt "
+                                f"module's view)")
         return self._theta
 
     def param_count(self) -> int:
@@ -255,43 +258,46 @@ class PeftModule(ForwardHooks):
         return list(self.theta_tilde().entries)
 
 
-def _gate_to_delta_shape(gate: Tensor, delta: Tensor) -> Tensor:
-    b = gate.shape[0]
-    return T.reshape(gate, (b,) + (1,) * (delta.ndim - 1))
+def _low_rank_branches(model: TransformerModel, cfg: PeftConfig,
+                       with_magnitude: bool):
+    """Shared (B, A[, m]) construction for the low-rank methods.
+
+    Returns the alpha/rank scale of the branches, each targeted matrix's
+    branch keyed by (layer, name), and the branches' ``(layer, group, part,
+    tensor)`` records.
+    """
+    scale = cfg.alpha / cfg.rank if cfg.init == "standard" else 1.0
+    rng = np.random.default_rng(model.cfg.seed + 1)
+    branches: dict[tuple[int, str], dict[str, Tensor]] = {}
+    records = []
+    for li, name in _expand_targets(model, cfg):
+        w0 = model.layers[li].weight(name)
+        rows, cols = w0.shape
+        if cfg.init == "pissa":
+            b, a, res = pissa_init(w0, cfg.rank)
+            b.requires_grad = True
+            a.requires_grad = True
+            w0.data = res.data
+        else:
+            if cfg.rank > min(rows, cols):
+                raise ConfigError(f"rank {cfg.rank} exceeds min dim of "
+                                  f"{name} {w0.shape}")
+            b = _zeros(rows, cfg.rank)
+            a = _draw(rng, cfg.rank, cols)
+        branch = {"B": b, "A": a}
+        records.append((li, name, "B", b))
+        records.append((li, name, "A", a))
+        if with_magnitude:
+            m = Tensor(T.column_l2_norm(Tensor(w0.data)).data,
+                       requires_grad=True)
+            branch["m"] = m
+            records.append((li, name, "m", m))
+        branches[(li, name)] = branch
+    return scale, branches, records
 
 
-class _LowRankSet:
-    """Shared (B, A[, m]) bookkeeping for the low-rank methods."""
-
-    def __init__(self, model: TransformerModel, cfg: PeftConfig,
-                 with_magnitude: bool, rng: np.random.Generator):
-        self.scale = cfg.alpha / cfg.rank if cfg.init == "standard" else 1.0
-        self.branches: dict[tuple[int, str], dict[str, Tensor]] = {}
-        raw = []
-        for li, name in _expand_targets(model, cfg):
-            w0 = model.layers[li].weight(name)
-            rows, cols = w0.shape
-            if cfg.init == "pissa":
-                b, a, res = pissa_init(w0, cfg.rank)
-                b.requires_grad = True
-                a.requires_grad = True
-                w0.data = res.data
-            else:
-                if cfg.rank > min(rows, cols):
-                    raise ConfigError(f"rank {cfg.rank} exceeds min dim of "
-                                      f"{name} {w0.shape}")
-                b = _zeros(rows, cfg.rank)
-                a = _draw(rng, cfg.rank, cols)
-            branch = {"B": b, "A": a}
-            raw.append((li, name, "B", b))
-            raw.append((li, name, "A", a))
-            if with_magnitude:
-                m = Tensor(T.column_l2_norm(Tensor(w0.data)).data,
-                           requires_grad=True)
-                branch["m"] = m
-                raw.append((li, name, "m", m))
-            self.branches[(li, name)] = branch
-        self.raw = raw
+def _plus(h: Tensor, delta: Tensor | None) -> Tensor:
+    return h if delta is None else T.add(h, delta)
 
 
 class LoraModule(PeftModule):
@@ -299,27 +305,22 @@ class LoraModule(PeftModule):
 
     method = "lora"
 
-    def __init__(self, model: TransformerModel, cfg: PeftConfig,
-                 gate_provider=None):
-        rng = np.random.default_rng(model.cfg.seed + 1)
-        lr = _LowRankSet(model, cfg, with_magnitude=False, rng=rng)
-        self.scale = lr.scale
-        self.branches = lr.branches
-        self.gate_provider = gate_provider
-        super().__init__(cfg, lr.raw)
+    def __init__(self, model: TransformerModel, cfg: PeftConfig):
+        self.scale, self.branches, records = _low_rank_branches(
+            model, cfg, with_magnitude=False)
+        super().__init__(cfg, records)
+
+    def delta(self, layer, name, x):
+        """scale * (x B) A for the matrix ``name``, or None if untargeted."""
+        branch = self.branches.get((layer, name))
+        if branch is None:
+            return None
+        delta = T.matmul(T.matmul(x, branch["B"]), branch["A"])
+        return T.scale(delta, self.scale) if self.scale != 1.0 else delta
 
     def project(self, layer, name, x, w, b):
         base = super().project(layer, name, x, w, b)
-        branch = self.branches.get((layer, name))
-        if branch is None:
-            return base
-        delta = T.matmul(T.matmul(x, branch["B"]), branch["A"])
-        if self.scale != 1.0:
-            delta = T.scale(delta, self.scale)
-        if self.gate_provider is not None:
-            gate = self.gate_provider(layer)
-            delta = T.hadamard(delta, _gate_to_delta_shape(gate, delta))
-        return T.add(base, delta)
+        return _plus(base, self.delta(layer, name, x))
 
 
 class DoraModule(PeftModule):
@@ -328,11 +329,9 @@ class DoraModule(PeftModule):
     method = "dora"
 
     def __init__(self, model: TransformerModel, cfg: PeftConfig):
-        rng = np.random.default_rng(model.cfg.seed + 1)
-        lr = _LowRankSet(model, cfg, with_magnitude=True, rng=rng)
-        self.scale = lr.scale
-        self.branches = lr.branches
-        super().__init__(cfg, lr.raw)
+        self.scale, self.branches, records = _low_rank_branches(
+            model, cfg, with_magnitude=True)
+        super().__init__(cfg, records)
 
     def project(self, layer, name, x, w, b):
         branch = self.branches.get((layer, name))
@@ -358,12 +357,10 @@ class AdapterModule(PeftModule):
 
     method = "adapter"
 
-    def __init__(self, model: TransformerModel, cfg: PeftConfig,
-                 gate_provider=None):
+    def __init__(self, model: TransformerModel, cfg: PeftConfig):
         rng = np.random.default_rng(model.cfg.seed + 2)
         d = model.cfg.hidden_dim
         self.blocks: dict[tuple[int, str], dict[str, Tensor]] = {}
-        self.gate_provider = gate_provider
         raw = []
         for top in sorted(cfg.target_layers):
             li = model.layer_from_top(top)
@@ -375,22 +372,19 @@ class AdapterModule(PeftModule):
                 raw.append((li, point, "A", a))
         super().__init__(cfg, raw)
 
-    def _apply(self, layer, point, h):
+    def delta(self, layer, point, h):
+        """relu(h A^T) B^T at ``point``, or None if the layer is untargeted."""
         block = self.blocks.get((layer, point))
         if block is None:
-            return h
-        delta = T.matmul(T.relu(T.matmul(h, T.transpose(block["A"]))),
-                         T.transpose(block["B"]))
-        if self.gate_provider is not None:
-            gate = self.gate_provider(layer)
-            delta = T.hadamard(delta, _gate_to_delta_shape(gate, delta))
-        return T.add(h, delta)
+            return None
+        return T.matmul(T.relu(T.matmul(h, T.transpose(block["A"]))),
+                        T.transpose(block["B"]))
 
     def after_attn_proj(self, layer, h):
-        return self._apply(layer, "adapter_attn", h)
+        return _plus(h, self.delta(layer, "adapter_attn", h))
 
     def after_ffn_proj(self, layer, h):
-        return self._apply(layer, "adapter_ffn", h)
+        return _plus(h, self.delta(layer, "adapter_ffn", h))
 
 
 class PrefixModule(PeftModule):
@@ -398,8 +392,7 @@ class PrefixModule(PeftModule):
 
     method = "prefix"
 
-    def __init__(self, model: TransformerModel, cfg: PeftConfig,
-                 gate_provider=None):
+    def __init__(self, model: TransformerModel, cfg: PeftConfig):
         if cfg.prefix_len + model.cfg.max_seq_len > POSITION_BUDGET:
             raise ConfigError(f"prefix_len {cfg.prefix_len} + max_seq_len "
                               f"{model.cfg.max_seq_len} exceeds position "
@@ -407,7 +400,6 @@ class PrefixModule(PeftModule):
         rng = np.random.default_rng(model.cfg.seed + 3)
         h, dh = model.cfg.num_heads, model.cfg.head_dim
         self.rows: dict[int, dict[str, Tensor]] = {}
-        self.gate_provider = gate_provider
         raw = []
         for top in sorted(cfg.target_layers):
             li = model.layer_from_top(top)
@@ -422,8 +414,7 @@ class PrefixModule(PeftModule):
         rows = self.rows.get(layer)
         if rows is None:
             return None
-        gate = self.gate_provider(layer) if self.gate_provider else None
-        return rows["P_K"], rows["P_V"], gate
+        return rows["P_K"], rows["P_V"], None
 
 
 class Ia3Module(PeftModule):
@@ -458,34 +449,18 @@ class Ia3Module(PeftModule):
         return T.hadamard(h, scales["FFN"])
 
 
-def _gate_lookup(gates: dict[tuple[int, str], Tensor], name: str):
-    """A UniPELT part's gate provider: reads the composite's gate cache.
-
-    It holds the cache, not the composite, so parts and composite form no
-    reference cycle: a dropped model is freed at once, with the tape its
-    cached gates still reach, instead of when the cycle collector runs.
-    """
-    def gate(layer: int) -> Tensor:
-        g = gates.get((layer, name))
-        if g is None:
-            raise ContractError(f"gate for layer {layer}/{name} not computed; "
-                                f"begin_layer did not run")
-        return g
-    return gate
-
-
 class UniPeltModule(PeftModule):
     """Gated combination of the lora, adapter, and prefix submodules.
 
     Each targeted layer holds one scalar gate per submodule: the sigmoid of
-    the mean-pooled layer input through a learned [d, 1] map. Gates multiply
-    each submodule's contribution (for the prefix, its un-normalized
-    attention weight columns).
+    the mean-pooled layer input through a learned [d, 1] map. ``begin_layer``
+    computes a layer's gates; the other hooks scale each submodule's
+    contribution by its gate (for the prefix, its un-normalized attention
+    weight columns). The submodules hold no reference to this module.
 
     The composite's view is the only buffer behind the submodules' tensors:
-    each submodule gets a gate provider, so it builds no view (see
-    :class:`PeftModule`). No code in this package may rebind ``.data`` on a
-    tensor that a view holds.
+    only the attached module gets a view (see :class:`PeftModule`). No code
+    in this package may rebind ``.data`` on a tensor that a view holds.
     """
 
     method = "unipelt"
@@ -495,29 +470,17 @@ class UniPeltModule(PeftModule):
         d = model.cfg.hidden_dim
         self._gates: dict[tuple[int, str], Tensor] = {}
         self.gate_weights: dict[tuple[int, str], Tensor] = {}
-        self.submodules: dict[str, PeftModule] = {}
-        raw = []
-
-        if "lora" in cfg.unipelt_submodules:
-            sub = LoraModule(model, cfg,
-                             gate_provider=_gate_lookup(self._gates, "lora"))
-            self.submodules["lora"] = sub
-        if "adapter" in cfg.unipelt_submodules:
-            sub = AdapterModule(model, cfg,
-                                gate_provider=_gate_lookup(self._gates, "adapter"))
-            self.submodules["adapter"] = sub
-        if "prefix" in cfg.unipelt_submodules:
-            sub = PrefixModule(model, cfg,
-                               gate_provider=_gate_lookup(self._gates, "prefix"))
-            self.submodules["prefix"] = sub
-
-        for sub in self.submodules.values():
-            raw.extend(sub.records)
-
+        self.submodules: dict[str, PeftModule] = {
+            name: _MODULE_CLASSES[name](model, cfg)
+            for name in UNIPELT_SUBMODULES if name in cfg.unipelt_submodules}
+        raw = [r for sub in self.submodules.values() for r in sub.records]
         for top in sorted(cfg.target_layers):
             li = model.layer_from_top(top)
             for name in sorted(self.submodules):
                 wg = _draw(rng, d, 1)
+                # gates left out of the view are never stepped, so they
+                # take no gradient either
+                wg.requires_grad = cfg.include_gates
                 self.gate_weights[(li, name)] = wg
                 if cfg.include_gates:
                     raw.append((li, f"gate_{name}", "w", wg))
@@ -531,23 +494,33 @@ class UniPeltModule(PeftModule):
             self._gates[(layer, name)] = T.sigmoid(
                 T.matmul(T.mean_axis(x, 1), wg))
 
+    def _plus_gated(self, part, layer, where, x, h):
+        """h + gate * (part's delta at ``where`` from input x)."""
+        sub = self.submodules.get(part)
+        delta = sub.delta(layer, where, x) if sub is not None else None
+        if delta is None:
+            return h
+        gate = self._gates[(layer, part)]
+        gate = T.reshape(gate, (gate.shape[0],) + (1,) * (delta.ndim - 1))
+        return T.add(h, T.hadamard(delta, gate))
+
     def project(self, layer, name, x, w, b):
-        sub = self.submodules.get("lora")
-        if sub is not None:
-            return sub.project(layer, name, x, w, b)
-        return super().project(layer, name, x, w, b)
+        base = super().project(layer, name, x, w, b)
+        return self._plus_gated("lora", layer, name, x, base)
 
     def after_attn_proj(self, layer, h):
-        sub = self.submodules.get("adapter")
-        return sub.after_attn_proj(layer, h) if sub is not None else h
+        return self._plus_gated("adapter", layer, "adapter_attn", h, h)
 
     def after_ffn_proj(self, layer, h):
-        sub = self.submodules.get("adapter")
-        return sub.after_ffn_proj(layer, h) if sub is not None else h
+        return self._plus_gated("adapter", layer, "adapter_ffn", h, h)
 
     def prefix_kv(self, layer):
         sub = self.submodules.get("prefix")
-        return sub.prefix_kv(layer) if sub is not None else None
+        rows = sub.prefix_kv(layer) if sub is not None else None
+        if rows is None:
+            return None
+        p_k, p_v, _ = rows
+        return p_k, p_v, self._gates[(layer, "prefix")]
 
 
 # ---------------------------------------------------------------------------
@@ -564,12 +537,15 @@ _MODULE_CLASSES = {
 
 
 def attach(model: TransformerModel, cfg: PeftConfig) -> PeftModule:
-    """Build cfg.method's module, freeze the base weights, and hook it in."""
+    """Build cfg.method's module and its flat view, freeze the base weights,
+    and hook the module in."""
     if model.peft is not None:
         raise ContractError("model already has an adapter module attached")
     for t in cfg.target_layers:
         model.layer_from_top(t)  # bounds check against this model
     module = _MODULE_CLASSES[cfg.method](model, cfg)
+    module._theta = ThetaTilde([(f"layer{layer}/{group}/{part}", t)
+                                for layer, group, part, t in module.records])
     model.freeze_base()
     model.peft = module
     return module

@@ -206,6 +206,19 @@ def test_mask_length_must_match_the_flat_view(tmp_path):
         load_checkpoint(hacked)
 
 
+def test_manifest_naming_a_tensor_twice_is_rejected(tmp_path, capsys):
+    def repeat_first(manifest):
+        manifest["tensors"].append(dict(manifest["tensors"][0]))
+
+    # the copy points at the same bytes, so only the repeat can fire
+    hacked = rewrite_manifest(tmp_path, "twice.bin", repeat_first)
+    with pytest.raises(CheckpointError,
+                       match="manifest names tensor 'embedding' twice"):
+        load_checkpoint(hacked)
+    assert cli(["eval", str(hacked)]) == 2
+    assert "names tensor 'embedding' twice" in capsys.readouterr().err
+
+
 def test_eval_of_manifest_without_config_exits_2(tmp_path, capsys):
     hacked = rewrite_manifest(tmp_path, "noconfig.bin",
                               lambda manifest: manifest.pop("config"))

@@ -99,6 +99,17 @@ def test_negative_seed_rejected(cls):
     assert cls(seed=0).seed == 0
 
 
+def test_every_config_section_is_frozen_and_hashable():
+    cfg = ExperimentConfig()
+    for f in dataclasses.fields(cfg):
+        section = getattr(cfg, f.name)
+        if dataclasses.is_dataclass(section):
+            first = dataclasses.fields(section)[0].name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(section, first, getattr(section, first))
+    assert hash(cfg) == hash(ExperimentConfig())
+
+
 def test_hash_ignores_out_dir_only():
     cfg = sample_config()
     moved = dataclasses.replace(cfg, out_dir="/tmp/elsewhere")

@@ -1,5 +1,6 @@
 """Adapter modules: flat-view ordering, init identities, hook gradients."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -9,7 +10,9 @@ import pytest
 from peftlab import tensor as T
 from peftlab.errors import ConfigError, ContractError
 from peftlab.model import Batch, ModelConfig, build_model, forward
+from peftlab.optim import TrainConfig, train
 from peftlab.peft import METHODS, PeftConfig, attach, pissa_init
+from peftlab.tasks import generate_task
 
 from helpers import finite_diff_grad, grad_close
 
@@ -130,6 +133,16 @@ def test_dropped_unipelt_model_is_freed_without_the_cycle_collector():
         assert all(r() is None for r in refs)
     finally:
         gc.enable()
+
+
+def test_gate_weights_left_out_of_the_view_take_no_gradient():
+    m = build_model(SMALL)
+    mod = attach(m, PeftConfig(method="unipelt", rank=2, prefix_len=3,
+                               include_gates=False))
+    task = generate_task("parity", 32, 1, vocab_size=8, seq_len=6)
+    train(m, mod, None, task, TrainConfig(lr=0.01, epochs=2, batch_size=16))
+    assert mod.gate_weights
+    assert all(wg.grad is None for wg in mod.gate_weights.values())
 
 
 def test_target_layers_count_from_top():
@@ -259,6 +272,25 @@ def test_unipelt_gate_limits():
     del mod.begin_layer  # back to the learned gates
     mid = logits_of(m, batch)
     assert np.max(np.abs(mid - base)) > 1e-7  # learned gates sit near 0.5
+
+    # gate 1 with the same perturbed weights on both sides: a lone lora or
+    # adapter part is its plain method, bit for bit (constant_gates installs
+    # into whichever module ``mod`` names when it is called)
+    rng = np.random.default_rng(5)
+    for part in ("lora", "adapter"):
+        plain = build_model(SMALL)
+        plain_view = attach(plain, PeftConfig(method=part, rank=2,
+                                              target_layers=(1, 2))) \
+            .theta_tilde()
+        plain_view.set_vector(rng.normal(0, 0.3, plain_view.length))
+        plain_tensors = dict(plain_view.entries)
+        m = build_model(SMALL)
+        mod = attach(m, dataclasses.replace(cfg, unipelt_submodules=(part,)))
+        for name, t in mod.theta_tilde().entries:
+            if "gate" not in name:
+                t.data[...] = plain_tensors[name].data
+        mod.begin_layer = constant_gates(1.0)
+        assert np.array_equal(logits_of(m, batch), logits_of(plain, batch))
 
 
 # -- pissa ----------------------------------------------------------------------
