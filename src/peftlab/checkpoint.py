@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config as config_mod
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError
 from .fisher import STRATEGIES, SparsityMask
 from .model import TransformerModel, build_model
 from .peft import PeftModule, attach
@@ -177,9 +177,12 @@ def load_checkpoint(path) -> CheckpointState:
     if manifest.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(f"{path}: manifest version mismatch")
 
-    cfg = config_mod.from_dict(manifest["config"])
-    model = build_model(cfg.model)
-    module = attach(model, cfg.peft)
+    try:
+        cfg = config_mod.from_dict(manifest["config"])
+        model = build_model(cfg.model)
+        module = attach(model, cfg.peft)
+    except ConfigError as e:
+        raise CheckpointError(f"{path}: manifest config: {e}") from e
     payload = blob[header_end:]
 
     restored: dict[str, np.ndarray] = {}

@@ -5,6 +5,9 @@
 lossless round-trippers. ``config_hash`` fingerprints everything except the
 output directory (two runs writing to different places are the same
 experiment).
+
+A config is checked the same way whether it comes from JSON or from Python
+(:mod:`peftlab._schema`), and a bad value raises ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -12,10 +15,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import typing
 from dataclasses import dataclass
 
+from . import _schema as schema
 from .errors import ConfigError
 from .model import ModelConfig
 from .optim import TrainConfig
@@ -28,45 +31,31 @@ CONFIG_VERSION = 1
 
 @dataclass(frozen=True)
 class TaskConfig:
-    kind: str = "parity"
-    size: int = 256
-    seed: int = 42
-    eval_size: int | None = None
+    kind: str = schema.field("parity", among=TASK_KINDS)
+    size: int = schema.field(256, min=16)
+    seed: int = schema.field(42, min=0)
+    eval_size: int | None = schema.field(None, min=1)
 
     def __post_init__(self):
-        if self.kind not in TASK_KINDS:
-            raise ConfigError(f"unknown task kind '{self.kind}'")
-        if self.size < 16:
-            raise ConfigError(f"task size must be >= 16, got {self.size}")
-        if self.eval_size is not None and self.eval_size < 1:
-            raise ConfigError("eval_size must be >= 1 when given")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        schema.check(self)
 
 
 @dataclass(frozen=True)
 class MaskConfig:
-    strategy: str = "dense"
+    strategy: str = schema.field("dense", among=STRATEGIES)
     budget: float = 1.0
-    fisher_samples: int = 128
-    seed: int = 42
+    fisher_samples: int = schema.field(128, min=1)
+    seed: int = schema.field(42, min=0)
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"unknown strategy '{self.strategy}'; expected "
-                              f"one of {STRATEGIES}")
+        schema.check(self)
         if not 0.0 < self.budget <= 1.0:
             raise ConfigError(f"budget must be in (0, 1], got {self.budget}")
-        if self.fisher_samples < 1:
-            raise ConfigError(f"fisher_samples must be >= 1, "
-                              f"got {self.fisher_samples}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    version: int = CONFIG_VERSION
+    version: int = schema.field(CONFIG_VERSION, among=(CONFIG_VERSION,))
     model: ModelConfig = dataclasses.field(default_factory=ModelConfig)
     task: TaskConfig = dataclasses.field(default_factory=TaskConfig)
     peft: PeftConfig = dataclasses.field(default_factory=PeftConfig)
@@ -75,9 +64,7 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        if self.version != CONFIG_VERSION:
-            raise ConfigError(f"config version {self.version} unsupported "
-                              f"(expected {CONFIG_VERSION})")
+        schema.check(self)
 
 
 def _to_plain(value):
@@ -93,55 +80,24 @@ def to_dict(cfg: ExperimentConfig) -> dict:
     return _to_plain(cfg)
 
 
-def _check_scalar(tp: type, value, where: str) -> None:
-    """An int field takes an int but not a bool; a float field takes an int
-    or a finite float; any other field takes an instance of its type."""
-    if tp is int:
-        ok = isinstance(value, int) and not isinstance(value, bool)
-    elif tp is float:
-        ok = (isinstance(value, int) and not isinstance(value, bool)) or \
-            (isinstance(value, float) and math.isfinite(value))
-    else:
-        ok = isinstance(value, tp)
-    if not ok:
-        want = "a finite float" if tp is float else tp.__name__
-        raise ConfigError(f"{where}: expected {want}, got {value!r}")
-
-
 def _build(cls, data, where: str):
+    """Build ``cls`` from a JSON object: reject a non-object or an unknown
+    key, recurse into nested sections, and prefix the dataclass's own
+    ConfigError with the document path."""
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected an object, got "
                           f"{type(data).__name__}")
-    field_map = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - set(field_map))
+    unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}")
     hints = typing.get_type_hints(cls)
-    kwargs = {}
-    for name, value in data.items():
-        tp = hints[name]
-        options = typing.get_args(tp)
-        if type(None) in options:
-            if value is None:
-                kwargs[name] = None
-                continue
-            tp = next(o for o in options if o is not type(None))
-        if dataclasses.is_dataclass(tp):
-            kwargs[name] = _build(tp, value, f"{where}.{name}")
-        elif typing.get_origin(tp) is tuple:
-            if not isinstance(value, (list, tuple)):
-                raise ConfigError(f"{where}.{name}: expected a list")
-            for i, item in enumerate(value):
-                _check_scalar(typing.get_args(tp)[0], item,
-                              f"{where}.{name}[{i}]")
-            kwargs[name] = tuple(value)
-        else:
-            _check_scalar(tp, value, f"{where}.{name}")
-            kwargs[name] = value
+    kwargs = {name: _build(hints[name], value, f"{where}.{name}")
+              if dataclasses.is_dataclass(hints[name]) else value
+              for name, value in data.items()}
     try:
         return cls(**kwargs)
-    except TypeError as e:
-        raise ConfigError(f"{where}: {e}") from e
+    except ConfigError as e:
+        raise ConfigError(f"{where}.{e}") from e
 
 
 def from_dict(data: dict) -> ExperimentConfig:

@@ -247,12 +247,8 @@ def compare_strategies(cfg: ExperimentConfig, strategies, budgets,
     seeds = tuple(seeds)
     if not strategies or not budgets or not seeds:
         raise ContractError("strategies, budgets, and seeds must be non-empty")
-    for what, keys in (("strategy", strategies), ("seed", seeds),
-                       ("budget", [f"{b:g}" for b in budgets])):
-        for i, key in enumerate(keys):
-            if key in keys[:i]:
-                raise ConfigError(f"repeated {what} {key} in the sweep")
-
+    # configs (mask= before out_dir=) come before :g names: a bad type is a
+    # ConfigError, not a format error
     runs = {(strategy, budget, seed): dataclasses.replace(
                 _rebind_seed(cfg, seed),
                 mask=dataclasses.replace(cfg.mask, strategy=strategy,
@@ -262,6 +258,12 @@ def compare_strategies(cfg: ExperimentConfig, strategies, budgets,
                          if cfg.out_dir is not None else None))
             for strategy in strategies for budget in budgets
             for seed in seeds}
+    for what, keys in (("strategy", strategies), ("seed", seeds),
+                       ("budget", [f"{b:g}" for b in budgets])):
+        for i, key in enumerate(keys):
+            if key in keys[:i]:
+                raise ConfigError(f"repeated {what} {key} in the sweep")
+
     score_cache: dict[int, FisherEstimate] = {}
 
     def scores_for(seed: int) -> FisherEstimate:

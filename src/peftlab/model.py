@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _schema as schema
 from . import tensor as T
 from .errors import ConfigError, ContractError, ShapeError
 from .tensor import Tensor
@@ -26,25 +27,20 @@ INIT_STD = 0.02
 
 @dataclass(frozen=True)
 class ModelConfig:
-    num_layers: int = 2
-    hidden_dim: int = 32
-    num_heads: int = 4
-    ffn_dim: int = 64
-    vocab_size: int = 16
-    max_seq_len: int = 8
-    num_classes: int = 2
-    seed: int = 42
+    num_layers: int = schema.field(2, min=1)
+    hidden_dim: int = schema.field(32, min=1)
+    num_heads: int = schema.field(4, min=1)
+    ffn_dim: int = schema.field(64, min=1)
+    vocab_size: int = schema.field(16, min=1)
+    max_seq_len: int = schema.field(8, min=1)
+    num_classes: int = schema.field(2, min=1)
+    seed: int = schema.field(42, min=0)
 
     def __post_init__(self):
-        for name in ("num_layers", "hidden_dim", "num_heads", "ffn_dim",
-                     "vocab_size", "max_seq_len", "num_classes"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        schema.check(self)
         if self.hidden_dim % self.num_heads != 0:
             raise ConfigError(f"hidden_dim {self.hidden_dim} not divisible by "
                               f"num_heads {self.num_heads}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def head_dim(self) -> int:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _schema as schema
 from . import tensor as T
 from .errors import ConfigError, ContractError, NumericError
 from .fisher import SparsityMask, mask_gradients
@@ -118,29 +119,23 @@ def step(params: ThetaTilde, grads: np.ndarray, mask: SparsityMask | None,
 
 @dataclass(frozen=True)
 class TrainConfig:
-    optimizer: str = "adamw"
-    lr: float = 5e-5
-    epochs: int = 30
-    batch_size: int = 32
-    weight_decay: float = 0.0
+    optimizer: str = schema.field("adamw", among=OPTIMIZERS)
+    lr: float = schema.field(5e-5, positive=True)
+    epochs: int = schema.field(30, min=0)
+    batch_size: int = schema.field(32, min=1)
+    weight_decay: float = schema.field(0.0, min=0)
     beta1: float = 0.9
     beta2: float = 0.999
-    eps: float = 1e-8
+    eps: float = schema.field(1e-8, positive=True)
     early_stop: bool = False
-    patience: int = 10
-    seed: int = 42
+    patience: int = schema.field(10, min=1)
+    seed: int = schema.field(42, min=0)
 
     def __post_init__(self):
-        _check_hyperparameters(self.optimizer, self.lr, self.beta1,
-                               self.beta2, self.eps, self.weight_decay)
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {self.patience}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        schema.check(self)
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ConfigError(f"betas must lie in [0, 1), got ({self.beta1}, "
+                              f"{self.beta2})")
 
 
 @dataclass

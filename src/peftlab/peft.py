@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _schema as schema
 from . import tensor as T
 from .errors import ConfigError, ContractError, NumericError, ShapeError
 from .model import ForwardHooks, TransformerModel, _draw, _ones, _zeros
@@ -46,57 +47,22 @@ class PeftConfig:
     view, frozen at their initial draw.
     """
 
-    method: str = "lora"
-    rank: int = 4
-    prefix_len: int = 30
-    target_weights: tuple[str, ...] = ("W_Q", "W_K", "W_V")
-    target_layers: tuple[int, ...] = (1,)
-    init: str = "standard"
-    lora_alpha: float | None = None
-    unipelt_submodules: tuple[str, ...] = UNIPELT_SUBMODULES
+    method: str = schema.field("lora", among=METHODS)
+    rank: int = schema.field(4, min=1)
+    prefix_len: int = schema.field(30, min=1)
+    target_weights: tuple[str, ...] = schema.field(("W_Q", "W_K", "W_V"),
+                                                   among=TARGETABLE)
+    target_layers: tuple[int, ...] = schema.field((1,), min=1)
+    init: str = schema.field("standard", among=("standard", "pissa"))
+    lora_alpha: float | None = schema.field(None, positive=True)
+    unipelt_submodules: tuple[str, ...] = schema.field(
+        UNIPELT_SUBMODULES, among=UNIPELT_SUBMODULES)
     include_gates: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "target_weights", tuple(self.target_weights))
-        object.__setattr__(self, "target_layers", tuple(self.target_layers))
-        object.__setattr__(self, "unipelt_submodules",
-                           tuple(self.unipelt_submodules))
-        if self.method not in METHODS:
-            raise ConfigError(f"unknown method '{self.method}'; "
-                              f"expected one of {METHODS}")
-        if self.rank < 1:
-            raise ConfigError(f"rank must be >= 1, got {self.rank}")
-        if self.prefix_len < 1:
-            raise ConfigError(f"prefix_len must be >= 1, got {self.prefix_len}")
-        if not self.target_weights:
-            raise ConfigError("target_weights must not be empty")
-        for w in self.target_weights:
-            if w not in TARGETABLE:
-                raise ConfigError(f"unknown target weight '{w}'; "
-                                  f"expected a subset of {TARGETABLE}")
-        if len(set(self.target_weights)) != len(self.target_weights):
-            raise ConfigError("target_weights has duplicates")
-        if not self.target_layers:
-            raise ConfigError("target_layers must not be empty")
-        if len(set(self.target_layers)) != len(self.target_layers):
-            raise ConfigError("target_layers has duplicates")
-        for t in self.target_layers:
-            if t < 1:
-                raise ConfigError(f"target layer indices are 1-based from the "
-                                  f"top, got {t}")
-        if self.init not in ("standard", "pissa"):
-            raise ConfigError(f"unknown init '{self.init}'")
+        schema.check(self)
         if self.init == "pissa" and self.method != "lora":
             raise ConfigError("init='pissa' is only supported with method='lora'")
-        if not self.unipelt_submodules:
-            raise ConfigError("unipelt_submodules must not be empty")
-        for s in self.unipelt_submodules:
-            if s not in UNIPELT_SUBMODULES:
-                raise ConfigError(f"unknown unipelt submodule '{s}'")
-        if self.lora_alpha is not None and \
-                not (np.isfinite(self.lora_alpha) and self.lora_alpha > 0):
-            raise ConfigError(f"lora_alpha must be finite and positive, got "
-                              f"{self.lora_alpha}")
 
     @property
     def alpha(self) -> float:

@@ -226,6 +226,24 @@ def test_eval_of_manifest_without_config_exits_2(tmp_path, capsys):
     assert "lacks field 'config'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, value, message", [
+    ("model", "hidden_dim", 9, "hidden_dim 9 not divisible by num_heads 2"),
+    ("peft", "target_layers", [3], "top layer index 3 outside"),
+])
+def test_eval_of_manifest_with_a_bad_config_exits_2(tmp_path, capsys, section,
+                                                   key, value, message):
+    def edit(manifest):
+        manifest["config"][section][key] = value
+
+    hacked = rewrite_manifest(tmp_path, "badconfig.bin", edit)
+    with pytest.raises(CheckpointError, match=message) as info:
+        load_checkpoint(hacked)
+    assert str(info.value).startswith(f"{hacked}: manifest config: ")
+    assert cli(["eval", str(hacked)]) == 2
+    err = capsys.readouterr().err
+    assert str(hacked) in err and message in err
+
+
 def test_loaded_view_matches_trained_view(tmp_path):
     """The loaded module's flat view holds the restored values, not the
     values it was attached with."""

@@ -130,6 +130,9 @@ def test_tuple_fields_accept_lists():
     cfg = from_dict(doc)
     assert cfg.peft.target_layers == (1,)
     assert cfg.peft.target_weights == ("W_Q", "W_V")
+    peft = PeftConfig(target_layers=[1, 2])
+    assert peft.target_layers == (1, 2)
+    assert hash(peft) == hash(PeftConfig(target_layers=(1, 2)))
 
 
 @pytest.mark.parametrize("section, key, value, message", [
@@ -146,12 +149,31 @@ def test_tuple_fields_accept_lists():
     ("train", "lr", math.nan, "train.lr: expected a finite float"),
     ("train", "weight_decay", math.inf, "weight_decay: expected a finite"),
     ("mask", "budget", "0.5", "mask.budget: expected a finite float"),
+    ("train", "epochs", 1.5, "train.epochs: expected int"),
+    ("train", "batch_size", None, "train.batch_size: expected int"),
+    ("train", "early_stop", "no", "train.early_stop: expected bool"),
+    ("peft", "rank", True, "peft.rank: expected int"),
+    ("peft", "target_layers", (1.0,), r"target_layers\[0\]: expected int"),
+    ("mask", "seed", None, "mask.seed: expected int"),
+    (None, "out_dir", 5, "out_dir: expected str"),
+    (None, "model", {}, "model: expected ModelConfig"),
 ])
 def test_field_types_checked(section, key, value, message):
+    """A JSON document and a direct constructor call are checked by the same
+    rule and fail with the same wording, the document path aside."""
+    cls = ExperimentConfig if section is None else \
+        type(getattr(ExperimentConfig(), section))
+    with pytest.raises(ConfigError, match=message.removeprefix(f"{section}.")
+                       ) as built:
+        cls(**{key: value})
+    if isinstance(value, dict):
+        return  # a JSON object in a section's place is read as that section
     doc = to_dict(sample_config())
-    doc[section][key] = value
-    with pytest.raises(ConfigError, match=message):
+    (doc if section is None else doc[section])[key] = value
+    with pytest.raises(ConfigError, match=message) as loaded:
         from_dict(doc)
+    where = "config" if section is None else f"config.{section}"
+    assert str(loaded.value) == f"{where}.{built.value}"
 
 
 def test_float_fields_take_ints_and_optional_fields_take_null():

@@ -10,7 +10,7 @@ import pytest
 
 from peftlab.config import (ExperimentConfig, MaskConfig, TaskConfig,
                             config_hash, from_json)
-from peftlab.errors import ContractError, ExperimentError
+from peftlab.errors import ConfigError, ContractError, ExperimentError
 from peftlab.experiment import compare_strategies, run_experiment
 from peftlab.fisher import load_mask, load_scores
 from peftlab.checkpoint import load_checkpoint
@@ -138,6 +138,18 @@ def test_compare_rejects_empty_lists():
         compare_strategies(cfg, ["fish"], [], [1])
     with pytest.raises(ContractError):
         compare_strategies(cfg, ["fish"], [0.5], [])
+
+
+@pytest.mark.parametrize("budgets, seeds, message", [
+    ([0.5], [1.5], "seed: expected int, got 1.5"),
+    (["0.5"], [3], "budget: expected a finite float, got '0.5'"),
+])
+def test_compare_rejects_a_mistyped_value_before_any_cell_runs(
+        tmp_path, budgets, seeds, message):
+    cfg = dataclasses.replace(quick_config(), out_dir=str(tmp_path / "sw"))
+    with pytest.raises(ConfigError, match=message):
+        compare_strategies(cfg, ["random"], budgets, seeds)
+    assert not (tmp_path / "sw").exists()
 
 
 def test_compare_single_cell_equals_single_run(tmp_path):
