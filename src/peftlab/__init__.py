@@ -8,13 +8,16 @@ head) may move. Public surface:
 - :mod:`peftlab.model` - deterministic transformer backbone and task batches
 - :mod:`peftlab.tasks` - synthetic classification datasets
 - :mod:`peftlab.peft` - adapter families sharing one flat parameter view
-- :mod:`peftlab.fisher` - score estimation, selection strategies, containers
+- :mod:`peftlab.fisher` - score estimation and selection strategies
 - :mod:`peftlab.optim` - mask-respecting SGD/AdamW and the training loop
-- :mod:`peftlab.config` / :mod:`peftlab.checkpoint` - serialization
+- :mod:`peftlab.config` - experiment configs and their JSON form
+- :mod:`peftlab.checkpoint` - one binary container for checkpoints, masks
+  and scores
 - :mod:`peftlab.experiment` / :mod:`peftlab.cli` - drivers
 """
 
-from .checkpoint import CheckpointState, load_checkpoint, save_checkpoint
+from .checkpoint import (CheckpointState, load_checkpoint, load_mask,
+                         load_scores, save_checkpoint, save_mask, save_scores)
 from .config import (ExperimentConfig, MaskConfig, TaskConfig, config_hash,
                      from_dict, from_json, to_dict, to_json)
 from .errors import (CheckpointError, ConfigError, ContractError,
@@ -23,8 +26,7 @@ from .errors import (CheckpointError, ConfigError, ContractError,
 from .experiment import (CellResult, ComparisonTable, compare_strategies,
                          run_experiment)
 from .fisher import (STRATEGIES, FisherEstimate, SparsityMask, budget_to_k,
-                     estimate_fisher, load_mask, load_scores, mask_gradients,
-                     save_mask, save_scores, select)
+                     estimate_fisher, mask_gradients, select)
 from .model import Batch, ModelConfig, TransformerModel, build_model, forward
 from .optim import (EpochRecord, OptimizerState, TrainConfig, TrainReport,
                     compute_ratios, evaluate, train)

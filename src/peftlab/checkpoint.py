@@ -1,16 +1,26 @@
-"""Binary checkpoints: a JSON manifest plus raw little-endian float32 blocks.
+"""Binary containers: one format for checkpoints, masks and scores.
 
 Layout:  magic 'PLCK' | u32 format version | u64 manifest length | manifest
-JSON (utf-8) | tensor payloads at the offsets the manifest declares | mask
-bits (u8), if any. The manifest carries the full experiment config, so a
-checkpoint alone is enough to rebuild the model, re-attach the adapters, and
-restore every tensor bit for bit. All writes go through a temp file that
+JSON (utf-8, sorted keys, with its own ``format_version``) | raw blocks at
+the offsets the manifest declares. What a file holds is what its manifest
+names:
+
+  checkpoint.bin  ``config``, ``config_hash``, a ``tensors`` table of
+                  little-endian float32 blocks, and a ``mask`` record or null
+  mask.bin        a ``mask`` record: strategy, k, seed, and the offset and
+                  nbytes of its u8 bits
+  scores.bin      a ``scores`` record: num_samples, and the offset and
+                  nbytes of its little-endian float32 scores
+
+A checkpoint alone is enough to rebuild the model, re-attach the adapters,
+and restore every tensor bit for bit. All writes go through a temp file that
 is fsynced, then an atomic rename, then an fsync of the directory.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import os
 import struct
 import tempfile
@@ -19,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config as config_mod
-from .errors import CheckpointError, ConfigError
-from .fisher import STRATEGIES, SparsityMask
+from .errors import CheckpointError, ConfigError, ContractError, NumericError
+from .fisher import STRATEGIES, FisherEstimate, SparsityMask
 from .model import TransformerModel, build_model
 from .peft import PeftModule, attach
 from .tensor import Tensor
@@ -51,6 +61,7 @@ _TENSOR_FIELDS = {
     "offset": _COUNT,
     "nbytes": _COUNT,
 }
+_SCORE_FIELDS = {"num_samples": _COUNT, "offset": _COUNT, "nbytes": _COUNT}
 _MASK_FIELDS = {
     "strategy": (lambda v: v in STRATEGIES, f"one of {list(STRATEGIES)}"),
     "k": _COUNT,
@@ -107,6 +118,22 @@ class CheckpointState:
     mask: SparsityMask | None
 
 
+def _write(path, manifest: dict, blocks: list[bytes]) -> None:
+    """Write one container: the preamble, ``manifest`` plus its
+    ``format_version``, then ``blocks`` in order."""
+    body = json.dumps({"format_version": FORMAT_VERSION, **manifest},
+                      sort_keys=True).encode("utf-8")
+    atomic_write_bytes(path, _PREAMBLE.pack(_MAGIC, FORMAT_VERSION, len(body))
+                       + body + b"".join(blocks))
+
+
+def _mask_record(mask: SparsityMask, offset: int) -> dict:
+    # operator.index: a NumPy integer seed is stored as an int, a float fails
+    seed = None if mask.seed is None else operator.index(mask.seed)
+    return {"strategy": mask.strategy, "k": mask.k, "seed": seed,
+            "offset": offset, "nbytes": len(mask.bits)}
+
+
 def save_checkpoint(path, cfg: config_mod.ExperimentConfig,
                     model: TransformerModel, module: PeftModule,
                     mask: SparsityMask | None = None) -> None:
@@ -120,20 +147,26 @@ def save_checkpoint(path, cfg: config_mod.ExperimentConfig,
         blocks.append(block)
         offset += len(block)
     manifest = {
-        "format_version": FORMAT_VERSION,
         "config": config_mod.to_dict(cfg),
         "config_hash": config_mod.config_hash(cfg),
         "tensors": table,
         "mask": None,
     }
     if mask is not None:
-        manifest["mask"] = {"strategy": mask.strategy, "k": mask.k,
-                            "seed": mask.seed, "offset": offset,
-                            "nbytes": len(mask.bits)}
+        manifest["mask"] = _mask_record(mask, offset)
         blocks.append(mask.bits.tobytes())
-    body = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    atomic_write_bytes(path, _PREAMBLE.pack(_MAGIC, FORMAT_VERSION, len(body))
-                       + body + b"".join(blocks))
+    _write(path, manifest, blocks)
+
+
+def save_mask(path, mask: SparsityMask) -> None:
+    _write(path, {"mask": _mask_record(mask, 0)}, [mask.bits.tobytes()])
+
+
+def save_scores(path, estimate: FisherEstimate) -> None:
+    block = estimate.scores.astype("<f4").tobytes()
+    record = {"num_samples": operator.index(estimate.num_samples),
+              "offset": 0, "nbytes": len(block)}
+    _write(path, {"scores": record}, [block])
 
 
 def _require(record, fields: dict, what: str, path) -> None:
@@ -149,13 +182,9 @@ def _require(record, fields: dict, what: str, path) -> None:
                                   f"{expected}, got {record[name]!r}")
 
 
-def load_checkpoint(path) -> CheckpointState:
-    """Rebuild the experiment state a checkpoint describes.
-
-    The model is reconstructed from the embedded config, adapters re-attached,
-    and every tensor restored bitwise; a truncated payload raises with the
-    name of the first tensor that could not be read.
-    """
+def _read(path) -> tuple[dict, bytes]:
+    """The manifest and the payload after it, once the preamble, the
+    manifest's JSON and its ``format_version`` check out."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _PREAMBLE.size:
@@ -173,9 +202,70 @@ def load_checkpoint(path) -> CheckpointState:
         manifest = json.loads(blob[_PREAMBLE.size:header_end])
     except json.JSONDecodeError as e:
         raise CheckpointError(f"{path}: manifest is not valid JSON: {e}") from e
-    _require(manifest, _MANIFEST_FIELDS, "manifest", path)
+    _require(manifest, {}, "manifest", path)  # each reader checks its fields
     if manifest.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(f"{path}: manifest version mismatch")
+    return manifest, blob[header_end:]
+
+
+def _block(payload: bytes, record: dict, what: str, path) -> bytes:
+    """The payload bytes a record's ``offset`` and ``nbytes`` declare."""
+    start, nbytes = record["offset"], record["nbytes"]
+    if start + nbytes > len(payload):
+        raise CheckpointError(f"{path}: payload for {what} is missing or "
+                              f"truncated")
+    return payload[start:start + nbytes]
+
+
+def _read_mask(info, payload: bytes, path) -> SparsityMask:
+    """The mask a ``mask`` record describes, in a mask file or a
+    checkpoint."""
+    _require(info, _MASK_FIELDS, "mask record", path)
+    bits = np.frombuffer(_block(payload, info, "the mask", path),
+                         dtype=np.uint8)
+    try:
+        mask = SparsityMask(bits.copy(), info["strategy"], info["seed"])
+    except ContractError as e:
+        raise CheckpointError(f"{path}: mask record: {e}") from e
+    if mask.k != info["k"]:
+        raise CheckpointError(f"{path}: mask popcount {mask.k} does not "
+                              f"match manifest k={info['k']}")
+    return mask
+
+
+def load_mask(path) -> SparsityMask:
+    manifest, payload = _read(path)
+    if manifest.get("mask") is None:
+        raise CheckpointError(f"{path}: not a mask file")
+    return _read_mask(manifest["mask"], payload, path)
+
+
+def load_scores(path) -> FisherEstimate:
+    manifest, payload = _read(path)
+    info = manifest.get("scores")
+    if info is None:
+        raise CheckpointError(f"{path}: not a score file")
+    _require(info, _SCORE_FIELDS, "scores record", path)
+    if info["nbytes"] % 4:
+        raise CheckpointError(f"{path}: score payload of {info['nbytes']} "
+                              f"bytes is not whole float32 values")
+    scores = np.frombuffer(_block(payload, info, "the scores", path),
+                           dtype="<f4")
+    try:
+        return FisherEstimate(scores.copy(), info["num_samples"])
+    except (ContractError, NumericError) as e:
+        raise CheckpointError(f"{path}: scores record: {e}") from e
+
+
+def load_checkpoint(path) -> CheckpointState:
+    """Rebuild the experiment state a checkpoint describes.
+
+    The model is reconstructed from the embedded config, adapters re-attached,
+    and every tensor restored bitwise; a truncated payload raises with the
+    name of the first tensor that could not be read.
+    """
+    manifest, payload = _read(path)
+    _require(manifest, _MANIFEST_FIELDS, "manifest", path)
 
     try:
         cfg = config_mod.from_dict(manifest["config"])
@@ -183,7 +273,6 @@ def load_checkpoint(path) -> CheckpointState:
         module = attach(model, cfg.peft)
     except ConfigError as e:
         raise CheckpointError(f"{path}: manifest config: {e}") from e
-    payload = blob[header_end:]
 
     restored: dict[str, np.ndarray] = {}
     for entry in manifest["tensors"]:
@@ -192,16 +281,12 @@ def load_checkpoint(path) -> CheckpointState:
         if name in restored:
             raise CheckpointError(f"{path}: manifest names tensor '{name}' "
                                   f"twice")
-        start, nbytes = entry["offset"], entry["nbytes"]
-        if start + nbytes > len(payload):
-            raise CheckpointError(f"{path}: payload for tensor '{name}' is "
-                                  f"missing or truncated")
+        block = _block(payload, entry, f"tensor '{name}'", path)
         shape = tuple(entry["shape"])
-        if int(np.prod(shape, dtype=np.int64)) * 4 != nbytes:
+        if int(np.prod(shape, dtype=np.int64)) * 4 != len(block):
             raise CheckpointError(f"{path}: tensor '{name}' declares shape "
-                                  f"{shape} but {nbytes} payload bytes")
-        arr = np.frombuffer(payload[start:start + nbytes], dtype="<f4")
-        restored[name] = arr.reshape(shape)
+                                  f"{shape} but {len(block)} payload bytes")
+        restored[name] = np.frombuffer(block, dtype="<f4").reshape(shape)
 
     live = dict(_named_tensors(model, module))
     missing = sorted(set(live) - set(restored))
@@ -219,20 +304,12 @@ def load_checkpoint(path) -> CheckpointState:
         tensor.data[...] = restored[name]
 
     mask = None
-    info = manifest.get("mask")
-    if info is not None:
-        _require(info, _MASK_FIELDS, "mask record", path)
-        start, nbytes = info["offset"], info["nbytes"]
-        if start + nbytes > len(payload):
-            raise CheckpointError(f"{path}: mask bits missing or truncated")
+    if manifest.get("mask") is not None:
+        mask = _read_mask(manifest["mask"], payload, path)
         view_length = module.theta_tilde().length
-        if nbytes != view_length:
-            raise CheckpointError(f"{path}: mask holds {nbytes} bits but the "
-                                  f"flat view has {view_length} coordinates")
-        bits = np.frombuffer(payload[start:start + nbytes], dtype=np.uint8)
-        mask = SparsityMask(bits.copy(), info["strategy"], info["seed"])
-        if mask.k != info["k"]:
-            raise CheckpointError(f"{path}: mask popcount {mask.k} does not "
-                                  f"match manifest k={info['k']}")
+        if len(mask) != view_length:
+            raise CheckpointError(f"{path}: mask holds {len(mask)} bits but "
+                                  f"the flat view has {view_length} "
+                                  f"coordinates")
 
     return CheckpointState(cfg, manifest["config_hash"], model, module, mask)

@@ -17,12 +17,12 @@ import os
 import sys
 
 from . import config as config_mod
-from .checkpoint import atomic_write_text, load_checkpoint
+from .checkpoint import (atomic_write_text, load_checkpoint, save_mask,
+                         save_scores)
 from .config import ExperimentConfig
 from .errors import ConfigError, PeftLabError
 from .experiment import (_SCORED, _make_task, _rebind_seed, _select_mask,
                          _setup, compare_strategies, run_experiment)
-from .fisher import save_mask, save_scores
 from .optim import evaluate
 
 

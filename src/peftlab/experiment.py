@@ -21,11 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config as config_mod
-from .checkpoint import atomic_write_text, save_checkpoint
+from .checkpoint import (atomic_write_text, save_checkpoint, save_mask,
+                         save_scores)
 from .config import ExperimentConfig
 from .errors import ConfigError, ContractError, ExperimentError, PeftLabError
 from .fisher import (FisherEstimate, SparsityMask, budget_to_k,
-                     estimate_fisher, save_mask, save_scores, select)
+                     estimate_fisher, select)
 from .model import build_model
 from .optim import TrainReport, train
 from .peft import attach

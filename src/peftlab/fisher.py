@@ -19,24 +19,20 @@ Selection strategies over a budget of k coordinates:
   random   seeded uniform k-subset, scores ignored
   dense    all ones
 Ties break toward the smaller flat index (stable argsort).
+
+Scores and masks are saved and loaded by :mod:`peftlab.checkpoint`.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CheckpointError, ConfigError, ContractError, NumericError
+from .errors import ConfigError, ContractError, NumericError
 from . import tensor as T
 
 STRATEGIES = ("fish", "random", "reverse", "dense")
-
-_MAGIC = b"PFL1"
-_KIND_SCORES = 1
-_KIND_MASK = 2
-_FORMAT_VERSION = 1
 
 # Examples per per-example backward pass: the scoring tape stays no larger
 # than a batch-32 training step's.
@@ -203,80 +199,3 @@ def budget_to_k(n: int, ratio2: float) -> int:
         raise ConfigError(f"ratio2 must be in (0, 1], got {ratio2}")
     k = int(np.floor(ratio2 * n + 0.5))
     return min(max(k, 1), n)
-
-
-# ---------------------------------------------------------------------------
-# persistence: one container for score and mask payloads
-
-_HEADER = struct.Struct("<4sIBB12sQQq")  # magic, version, kind, pad, strategy,
-                                         # length, k, seed
-
-
-def _pack_header(kind: int, strategy: str, length: int, k: int,
-                 seed: int | None) -> bytes:
-    return _HEADER.pack(_MAGIC, _FORMAT_VERSION, kind, 0,
-                        strategy.encode("ascii").ljust(12, b"\0"),
-                        length, k, -1 if seed is None else seed)
-
-
-def _read_header(blob: bytes, path: str):
-    if len(blob) < _HEADER.size:
-        raise CheckpointError(f"{path}: truncated header")
-    magic, version, kind, _, strategy, length, k, seed = \
-        _HEADER.unpack_from(blob)
-    if magic != _MAGIC:
-        raise CheckpointError(f"{path}: bad magic {magic!r}")
-    if version != _FORMAT_VERSION:
-        raise CheckpointError(f"{path}: format version {version} unsupported "
-                              f"(expected {_FORMAT_VERSION})")
-    try:
-        name = strategy.rstrip(b"\0").decode("ascii")
-    except UnicodeDecodeError:
-        raise CheckpointError(f"{path}: strategy field is not ASCII") from None
-    return kind, name, length, k, seed
-
-
-def save_scores(path, estimate: FisherEstimate) -> None:
-    from .checkpoint import atomic_write_bytes
-    payload = _pack_header(_KIND_SCORES, "", len(estimate),
-                           estimate.num_samples, None)
-    atomic_write_bytes(path, payload + estimate.scores.astype("<f4").tobytes())
-
-
-def load_scores(path) -> FisherEstimate:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    kind, _, length, num_samples, _ = _read_header(blob, str(path))
-    if kind != _KIND_SCORES:
-        raise CheckpointError(f"{path}: not a score file")
-    payload = blob[_HEADER.size:]
-    if len(payload) != 4 * length:
-        raise CheckpointError(f"{path}: score payload holds "
-                              f"{len(payload) // 4} values, header says {length}")
-    scores = np.frombuffer(payload, dtype="<f4").copy()
-    return FisherEstimate(scores, int(num_samples))
-
-
-def save_mask(path, mask: SparsityMask) -> None:
-    from .checkpoint import atomic_write_bytes
-    payload = _pack_header(_KIND_MASK, mask.strategy, len(mask), mask.k,
-                           mask.seed)
-    atomic_write_bytes(path, payload + mask.bits.tobytes())
-
-
-def load_mask(path) -> SparsityMask:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    kind, strategy, length, k, seed = _read_header(blob, str(path))
-    if kind != _KIND_MASK:
-        raise CheckpointError(f"{path}: not a mask file")
-    payload = blob[_HEADER.size:]
-    if len(payload) != length:
-        raise CheckpointError(f"{path}: mask payload holds {len(payload)} "
-                              f"bits, header says {length}")
-    mask = SparsityMask(np.frombuffer(payload, dtype=np.uint8).copy(),
-                        strategy, None if seed == -1 else int(seed))
-    if mask.k != k:
-        raise CheckpointError(f"{path}: popcount {mask.k} does not match "
-                              f"header k={k}")
-    return mask

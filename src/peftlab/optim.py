@@ -26,22 +26,6 @@ from .peft import PeftModule, ThetaTilde
 OPTIMIZERS = ("sgd", "adamw")
 
 
-def _check_hyperparameters(kind: str, lr: float, beta1: float, beta2: float,
-                           eps: float, weight_decay: float) -> None:
-    if kind not in OPTIMIZERS:
-        raise ConfigError(f"unknown optimizer '{kind}'; expected one of "
-                          f"{OPTIMIZERS}")
-    if not (math.isfinite(lr) and lr > 0):
-        raise ConfigError(f"lr must be finite and positive, got {lr}")
-    if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-        raise ConfigError(f"betas must lie in [0, 1), got ({beta1}, {beta2})")
-    if not (math.isfinite(eps) and eps > 0):
-        raise ConfigError(f"eps must be finite and positive, got {eps}")
-    if not (math.isfinite(weight_decay) and weight_decay >= 0):
-        raise ConfigError(f"weight_decay must be finite and >= 0, got "
-                          f"{weight_decay}")
-
-
 @dataclass
 class OptimizerState:
     """Per-flat-view optimizer buffers; create via :meth:`create`."""
@@ -60,7 +44,9 @@ class OptimizerState:
     def create(cls, kind: str, lr: float, length: int,
                beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
                weight_decay: float = 0.0) -> "OptimizerState":
-        _check_hyperparameters(kind, lr, beta1, beta2, eps, weight_decay)
+        # the rules for these values are TrainConfig's: build one to check them
+        TrainConfig(optimizer=kind, lr=lr, beta1=beta1, beta2=beta2, eps=eps,
+                    weight_decay=weight_decay)
         state = cls(kind, lr, beta1, beta2, eps, weight_decay)
         if kind == "adamw":
             state.exp_avg = np.zeros(length, dtype=np.float32)

@@ -13,6 +13,8 @@ dataset is a pure function of (kind, size, seed, dims). A split is one
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import ConfigError
@@ -42,13 +44,24 @@ def generate_task(kind: str, size: int, seed: int, *,
                   batch_size: int = 32) -> tuple[Batch, Batch]:
     """Return the (train, eval) splits of one of TASK_KINDS, a ``Batch``
     each. ``batch_size`` has no effect: only the benchmark harness passes
-    it, and ROADMAP item 1 deletes it along with that caller."""
+    it, and ROADMAP item 1 deletes it along with that caller. A mistyped or
+    out-of-range argument raises ConfigError."""
     if kind not in TASK_KINDS:
         raise ConfigError(f"unknown task kind '{kind}'; expected one of {TASK_KINDS}")
+    integers = {"size": size, "seed": seed, "vocab_size": vocab_size,
+                "seq_len": seq_len, "num_classes": num_classes,
+                "eval_size": eval_size}
+    for name, value in integers.items():
+        if value is None and name == "eval_size":
+            continue
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ConfigError(f"{name}: expected an integer, got {value!r}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if size < 16:
         raise ConfigError(f"task size must be >= 16, got {size}")
-    if seq_len < 2:
-        raise ConfigError("tasks need seq_len >= 2")
+    if vocab_size < 2 or seq_len < 2:
+        raise ConfigError("tasks need vocab_size >= 2 and seq_len >= 2")
     if num_classes < 2:
         raise ConfigError("tasks need num_classes >= 2")
     if eval_size is None:

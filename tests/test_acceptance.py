@@ -19,13 +19,12 @@ import pytest
 
 from helpers import check_grads, example_nll, random_inputs
 from peftlab import tensor as T
-from peftlab.checkpoint import (atomic_write_text, load_checkpoint,
-                                save_checkpoint)
+from peftlab.checkpoint import (atomic_write_text, load_checkpoint, load_mask,
+                                load_scores, save_checkpoint, save_mask,
+                                save_scores)
 from peftlab.config import ExperimentConfig, MaskConfig, TaskConfig
 from peftlab.experiment import run_experiment
-from peftlab.fisher import (FisherEstimate, budget_to_k, estimate_fisher,
-                            load_mask, load_scores, save_mask, save_scores,
-                            select)
+from peftlab.fisher import FisherEstimate, budget_to_k, estimate_fisher, select
 from peftlab.model import Batch, ModelConfig, build_model, forward
 from peftlab.optim import OptimizerState, TrainConfig, compute_ratios, step
 from peftlab.peft import PeftConfig, ThetaTilde, attach

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from peftlab.checkpoint import load_checkpoint, load_mask
 from peftlab.cli import cli
 from peftlab.config import ExperimentConfig, MaskConfig, TaskConfig, to_json
 from peftlab.model import ModelConfig
@@ -159,6 +160,19 @@ def test_train_and_eval_round_trip(tmp_path, cfg_path, capsys):
     # restored weights reproduce the recorded final evaluation exactly
     assert doc["eval_loss"] == report["final_eval_loss"]
     assert doc["eval_accuracy"] == report["final_eval_accuracy"]
+
+
+def test_random_run_with_a_seed_past_int64_writes_every_artifact(tmp_path,
+                                                                 cfg_path):
+    out = tmp_path / "run"
+    assert cli(["train", "--config", cfg_path, "--strategy", "random",
+                "--budget", "0.5", "--epochs", "1", "--seed", str(2**63),
+                "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["checkpoint.bin", "config.json",
+                                       "mask.bin", "metrics.jsonl",
+                                       "report.json"]
+    assert load_mask(out / "mask.bin").seed == 2**63
+    assert load_checkpoint(out / "checkpoint.bin").mask.seed == 2**63
 
 
 def test_eval_missing_checkpoint_is_runtime_error(tmp_path):

@@ -12,8 +12,7 @@ from peftlab.config import (ExperimentConfig, MaskConfig, TaskConfig,
                             config_hash, from_json)
 from peftlab.errors import ConfigError, ContractError, ExperimentError
 from peftlab.experiment import compare_strategies, run_experiment
-from peftlab.fisher import load_mask, load_scores
-from peftlab.checkpoint import load_checkpoint
+from peftlab.checkpoint import load_checkpoint, load_mask, load_scores
 from peftlab.model import ModelConfig
 from peftlab.optim import TrainConfig
 from peftlab.peft import PeftConfig

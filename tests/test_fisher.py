@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from helpers import example_nll
 from peftlab import tensor as T
+from peftlab.checkpoint import load_mask, load_scores, save_mask, save_scores
 from peftlab.errors import (CheckpointError, ConfigError, ContractError,
                             NumericError)
 from peftlab.fisher import (FisherEstimate, SparsityMask, budget_to_k,
-                            estimate_fisher, load_mask, load_scores,
-                            mask_gradients, save_mask, save_scores, select)
+                            estimate_fisher, mask_gradients, select)
 from peftlab.model import Batch, ModelConfig, build_model
 from peftlab.peft import METHODS, PeftConfig, ThetaTilde, attach
 from peftlab.tasks import generate_task
@@ -311,6 +311,18 @@ def test_score_and_mask_round_trip(tmp_path):
     save_mask(mpath, rmask)
     assert load_mask(mpath).seed == 11
 
+    # any integer seed comes back as itself, not as a sentinel or an overflow
+    for seed in (-1, 0, 2**63, np.int64(7)):
+        save_mask(mpath, select(est, 3, "fish", seed=seed))
+        assert load_mask(mpath).seed == seed
+
+    save_scores(spath, FisherEstimate(est.scores, np.int64(16)))
+    assert load_scores(spath).num_samples == 16
+    # a seed the manifest could not read back is refused before writing
+    with pytest.raises(TypeError):
+        save_mask(tmp_path / "float.bin", select(est, 3, "fish", seed=3.5))
+    assert not (tmp_path / "float.bin").exists()
+
 
 def test_container_corruption_detected(tmp_path):
     est = FisherEstimate(np.ones(8, dtype=np.float32), 2)
@@ -331,17 +343,34 @@ def test_container_corruption_detected(tmp_path):
     with pytest.raises(CheckpointError, match="payload"):
         load_scores(tmp_path / "short.bin")
 
+    ragged = blob.replace(b'"nbytes": 32', b'"nbytes": 31')
+    assert ragged != blob
+    (tmp_path / "ragged.bin").write_bytes(ragged)
+    with pytest.raises(CheckpointError, match="not whole float32 values"):
+        load_scores(tmp_path / "ragged.bin")
+
+    nan = np.array([np.nan], dtype="<f4").tobytes()
+    (tmp_path / "nan.bin").write_bytes(blob[:-4] + nan)
+    with pytest.raises(CheckpointError, match="non-finite"):
+        load_scores(tmp_path / "nan.bin")
+
     mask = select(est, 3, "fish")
     save_mask(tmp_path / "mask.bin", mask)
     with pytest.raises(CheckpointError, match="score file|not a"):
         load_scores(tmp_path / "mask.bin")
 
 
-def test_non_ascii_strategy_is_checkpoint_error(tmp_path):
+def test_corrupt_mask_record_is_checkpoint_error(tmp_path):
     path = tmp_path / "mask.bin"
     save_mask(path, select(np.ones(8, dtype=np.float32), 3, "fish"))
-    blob = bytearray(path.read_bytes())
-    blob[10] = 0xE9  # first byte of the 12-byte strategy field
-    path.write_bytes(bytes(blob))
-    with pytest.raises(CheckpointError, match="ASCII"):
+    blob = path.read_bytes()
+    # same length, so the manifest's declared size still holds
+    hacked = blob.replace(b'"strategy": "fish"', b'"strategy": "fysh"')
+    assert hacked != blob
+    path.write_bytes(hacked)
+    with pytest.raises(CheckpointError, match="field 'strategy' must be"):
+        load_mask(path)
+
+    path.write_bytes(blob[:-1] + b"\x02")  # the last bit is 0 or 1
+    with pytest.raises(CheckpointError, match="bits must be 0 or 1"):
         load_mask(path)

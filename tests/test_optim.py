@@ -118,6 +118,11 @@ def test_optimizer_state_validation():
         OptimizerState.create("adamw", 0.1, 3, beta1=1.0)
     with pytest.raises(ConfigError):
         OptimizerState.create("adamw", 0.1, 3, weight_decay=-0.1)
+    # a mistyped value is refused as a config error, not stored or crashed on
+    with pytest.raises(ConfigError, match="lr: expected a finite float"):
+        OptimizerState.create("sgd", True, 4)
+    with pytest.raises(ConfigError, match="lr: expected a finite float"):
+        OptimizerState.create("sgd", "0.1", 4)
 
 
 # -- evaluate / ratios --------------------------------------------------------

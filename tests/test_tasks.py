@@ -81,3 +81,20 @@ def test_validation_errors():
         generate_task("parity", 16, 0, seq_len=4, eval_size=-5)
     with pytest.raises(ConfigError, match="eval_size"):
         generate_task("parity", 16, 0, seq_len=4, eval_size=0)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("size", 64.5), ("seed", 0.5), ("seed", "0"), ("vocab_size", 8.0),
+    ("seq_len", None), ("num_classes", True), ("eval_size", 12.0),
+])
+def test_mistyped_argument_is_config_error_naming_it(name, value):
+    args = {"kind": "parity", "size": 64, "seed": 0, name: value}
+    with pytest.raises(ConfigError, match=f"^{name}: expected an integer"):
+        generate_task(**args)
+
+
+def test_negative_seed_or_vocab_is_config_error():
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        generate_task("parity", 64, -1)
+    with pytest.raises(ConfigError, match="vocab_size >= 2"):
+        generate_task("parity", 64, 0, vocab_size=-4)
