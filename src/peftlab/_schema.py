@@ -7,6 +7,7 @@ also takes None; ``tuple[X, ...]`` takes a non-empty list or tuple of
 distinct X and stores a tuple; a nested config takes an instance of its
 class. A field's simple range rule is declared next to it with
 :func:`field`; rules that span fields or intervals stay in the class.
+:func:`check_value` applies the same type and rule to a single value.
 """
 
 from __future__ import annotations
@@ -44,20 +45,24 @@ def check(cfg) -> None:
                 continue
             tp = typing.get_args(tp)[0]
         if typing.get_origin(tp) is not tuple:
-            _check(tp, f.metadata, value, name)
+            check_value(name, value, tp, **f.metadata)
             continue
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{name}: expected a list, got {value!r}")
         if not value:
             raise ConfigError(f"{name} must not be empty")
         for i, item in enumerate(value):
-            _check(typing.get_args(tp)[0], f.metadata, item, f"{name}[{i}]")
+            check_value(f"{name}[{i}]", item, typing.get_args(tp)[0],
+                        **f.metadata)
         if len(set(value)) != len(value):
             raise ConfigError(f"{name} has duplicates")
         object.__setattr__(cfg, name, tuple(value))
 
 
-def _check(tp, rule, value, where: str) -> None:
+def check_value(where: str, value, tp, *, min=None, positive=False,
+                among=None) -> None:
+    """Raise ConfigError if ``value``, named ``where``, is not a ``tp`` or
+    breaks the rule :func:`field` declares with these keywords."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     # a float field's int must fit a float; comparing a huge int is exact
     finite = tp is not float or (number and abs(value) <= sys.float_info.max)
@@ -68,14 +73,13 @@ def _check(tp, rule, value, where: str) -> None:
         [f"{where}: expected {_WANT.get(tp, tp.__name__)}, got {value!r}"]
     # a non-finite float breaks its field's bound too, and the message says so
     if ok or (tp is float and number):
-        low, among = rule.get("min"), rule.get("among")
         if among is not None and value not in among:
             broken.append(f"{where}: expected one of {among}, got {value!r}")
-        elif low is not None and not (finite and value >= low):
+        elif min is not None and not (finite and value >= min):
             finite_and = " finite and" if tp is float else ""
-            broken.append(f"{where} must be{finite_and} >= {low}, got "
+            broken.append(f"{where} must be{finite_and} >= {min}, got "
                           f"{value!r}")
-        elif rule.get("positive") and not (finite and value > 0):
+        elif positive and not (finite and value > 0):
             broken.append(f"{where} must be finite and positive, got "
                           f"{value!r}")
     if broken:

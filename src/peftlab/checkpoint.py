@@ -20,7 +20,6 @@ is fsynced, then an atomic rename, then an fsync of the directory.
 from __future__ import annotations
 
 import json
-import operator
 import os
 import struct
 import tempfile
@@ -128,9 +127,7 @@ def _write(path, manifest: dict, blocks: list[bytes]) -> None:
 
 
 def _mask_record(mask: SparsityMask, offset: int) -> dict:
-    # operator.index: a NumPy integer seed is stored as an int, a float fails
-    seed = None if mask.seed is None else operator.index(mask.seed)
-    return {"strategy": mask.strategy, "k": mask.k, "seed": seed,
+    return {"strategy": mask.strategy, "k": mask.k, "seed": mask.seed,
             "offset": offset, "nbytes": len(mask.bits)}
 
 
@@ -164,8 +161,8 @@ def save_mask(path, mask: SparsityMask) -> None:
 
 def save_scores(path, estimate: FisherEstimate) -> None:
     block = estimate.scores.astype("<f4").tobytes()
-    record = {"num_samples": operator.index(estimate.num_samples),
-              "offset": 0, "nbytes": len(block)}
+    record = {"num_samples": estimate.num_samples, "offset": 0,
+              "nbytes": len(block)}
     _write(path, {"scores": record}, [block])
 
 
@@ -225,7 +222,7 @@ def _read_mask(info, payload: bytes, path) -> SparsityMask:
                          dtype=np.uint8)
     try:
         mask = SparsityMask(bits.copy(), info["strategy"], info["seed"])
-    except ContractError as e:
+    except (ConfigError, ContractError) as e:
         raise CheckpointError(f"{path}: mask record: {e}") from e
     if mask.k != info["k"]:
         raise CheckpointError(f"{path}: mask popcount {mask.k} does not "
@@ -253,16 +250,17 @@ def load_scores(path) -> FisherEstimate:
                            dtype="<f4")
     try:
         return FisherEstimate(scores.copy(), info["num_samples"])
-    except (ContractError, NumericError) as e:
+    except (ConfigError, ContractError, NumericError) as e:
         raise CheckpointError(f"{path}: scores record: {e}") from e
 
 
 def load_checkpoint(path) -> CheckpointState:
     """Rebuild the experiment state a checkpoint describes.
 
-    The model is reconstructed from the embedded config, adapters re-attached,
-    and every tensor restored bitwise; a truncated payload raises with the
-    name of the first tensor that could not be read.
+    The embedded config must hash to the stored ``config_hash``. The model
+    is reconstructed from it, adapters re-attached, and every tensor
+    restored bitwise; a truncated payload raises with the name of the first
+    tensor that could not be read.
     """
     manifest, payload = _read(path)
     _require(manifest, _MANIFEST_FIELDS, "manifest", path)
@@ -273,6 +271,10 @@ def load_checkpoint(path) -> CheckpointState:
         module = attach(model, cfg.peft)
     except ConfigError as e:
         raise CheckpointError(f"{path}: manifest config: {e}") from e
+    chash = config_mod.config_hash(cfg)
+    if chash != manifest["config_hash"]:
+        raise CheckpointError(f"{path}: manifest config hashes to {chash}, "
+                              f"not the stored {manifest['config_hash']}")
 
     restored: dict[str, np.ndarray] = {}
     for entry in manifest["tensors"]:
@@ -312,4 +314,4 @@ def load_checkpoint(path) -> CheckpointState:
                                   f"the flat view has {view_length} "
                                   f"coordinates")
 
-    return CheckpointState(cfg, manifest["config_hash"], model, module, mask)
+    return CheckpointState(cfg, chash, model, module, mask)

@@ -6,7 +6,8 @@ lossless round-trippers. ``config_hash`` fingerprints everything except the
 output directory (two runs writing to different places are the same
 experiment).
 
-A config is checked the same way whether it comes from JSON or from Python
+Each section is the config dataclass of the module it configures. A config
+is checked the same way whether it comes from JSON or from Python
 (:mod:`peftlab._schema`), and a bad value raises ``ConfigError``.
 """
 
@@ -20,37 +21,13 @@ from dataclasses import dataclass
 
 from . import _schema as schema
 from .errors import ConfigError
+from .fisher import MaskConfig
 from .model import ModelConfig
 from .optim import TrainConfig
 from .peft import PeftConfig
-from .fisher import STRATEGIES
-from .tasks import TASK_KINDS
+from .tasks import TaskConfig
 
 CONFIG_VERSION = 1
-
-
-@dataclass(frozen=True)
-class TaskConfig:
-    kind: str = schema.field("parity", among=TASK_KINDS)
-    size: int = schema.field(256, min=16)
-    seed: int = schema.field(42, min=0)
-    eval_size: int | None = schema.field(None, min=1)
-
-    def __post_init__(self):
-        schema.check(self)
-
-
-@dataclass(frozen=True)
-class MaskConfig:
-    strategy: str = schema.field("dense", among=STRATEGIES)
-    budget: float = 1.0
-    fisher_samples: int = schema.field(128, min=1)
-    seed: int = schema.field(42, min=0)
-
-    def __post_init__(self):
-        schema.check(self)
-        if not 0.0 < self.budget <= 1.0:
-            raise ConfigError(f"budget must be in (0, 1], got {self.budget}")
 
 
 @dataclass(frozen=True)

@@ -29,14 +29,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, NumericError
+from . import _schema as schema
 from . import tensor as T
-
-STRATEGIES = ("fish", "random", "reverse", "dense")
+from .errors import ConfigError, ContractError, NumericError
 
 # Examples per per-example backward pass: the scoring tape stays no larger
 # than a batch-32 training step's.
 _CHUNK = 32
+
+STRATEGIES = ("fish", "random", "reverse", "dense")
+
+
+@dataclass(frozen=True)
+class MaskConfig:
+    strategy: str = schema.field("dense", among=STRATEGIES)
+    budget: float = 1.0
+    fisher_samples: int = schema.field(128, min=1)
+    seed: int = schema.field(42, min=0)
+
+    def __post_init__(self):
+        schema.check(self)
+        if not 0.0 < self.budget <= 1.0:
+            raise ConfigError(f"budget must be in (0, 1], got {self.budget}")
+
+
+def _integer(where: str, value, min=None) -> int:
+    """``value`` by the config integer rule, a NumPy integer taken as int."""
+    if isinstance(value, np.integer):
+        value = int(value)
+    schema.check_value(where, value, int, min=min)
+    return value
 
 
 @dataclass
@@ -57,6 +79,7 @@ class FisherEstimate:
             raise NumericError("scores contain non-finite values")
         if self.scores.min() < 0:
             raise ContractError("scores must be non-negative")
+        self.num_samples = _integer("num_samples", self.num_samples, min=1)
 
     def __len__(self) -> int:
         return self.scores.size
@@ -77,9 +100,9 @@ class SparsityMask:
                                 f"{self.bits.shape}")
         if not np.all((self.bits == 0) | (self.bits == 1)):
             raise ContractError("mask bits must be 0 or 1")
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"unknown strategy '{self.strategy}'; expected "
-                              f"one of {STRATEGIES}")
+        schema.check_value("strategy", self.strategy, str, among=STRATEGIES)
+        if self.seed is not None:
+            self.seed = _integer("seed", self.seed)
 
     @property
     def k(self) -> int:
@@ -110,8 +133,7 @@ def estimate_fisher(model, dataset, num_samples: int = 128) -> FisherEstimate:
     over the flat view; only those leaves get gradients, and no ``.grad``
     is written.
     """
-    if num_samples < 1:
-        raise ConfigError(f"num_samples must be >= 1, got {num_samples}")
+    num_samples = _integer("num_samples", num_samples, min=1)
     rows, labels = dataset.token_ids, dataset.labels
     if not len(labels):
         raise ContractError("score estimate over an empty dataset")
@@ -157,11 +179,10 @@ def select(scores, k: int, strategy: str, seed: int | None = None) -> SparsityMa
         raise ContractError(f"scores must be a non-empty vector, got shape "
                             f"{vec.shape}")
     n = vec.size
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"unknown strategy '{strategy}'; expected one of "
-                          f"{STRATEGIES}")
+    schema.check_value("strategy", strategy, str, among=STRATEGIES)
     if strategy == "dense":
         return SparsityMask(np.ones(n, dtype=np.uint8), "dense", seed)
+    k = _integer("k", k)
     if not 1 <= k <= n:
         raise ConfigError(f"budget k={k} outside [1, {n}]")
     bits = np.zeros(n, dtype=np.uint8)
@@ -191,11 +212,11 @@ def mask_gradients(grads: np.ndarray, mask: SparsityMask) -> np.ndarray:
     return out
 
 
-def budget_to_k(n: int, ratio2: float) -> int:
-    """Round ratio2 * n to the nearest count (half up), clamped to [1, n]."""
+def budget_to_k(n: int, budget: float) -> int:
+    """Round budget * n to the nearest count (half up), clamped to [1, n].
+    ``budget`` is checked as a ``MaskConfig`` budget."""
     if n < 1:
         raise ContractError("flat view must be non-empty")
-    if not 0.0 < ratio2 <= 1.0:
-        raise ConfigError(f"ratio2 must be in (0, 1], got {ratio2}")
-    k = int(np.floor(ratio2 * n + 0.5))
+    MaskConfig(budget=budget)
+    k = int(np.floor(budget * n + 0.5))
     return min(max(k, 1), n)

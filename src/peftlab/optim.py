@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,32 +26,55 @@ from .peft import PeftModule, ThetaTilde
 OPTIMIZERS = ("sgd", "adamw")
 
 
-@dataclass
-class OptimizerState:
-    """Per-flat-view optimizer buffers; create via :meth:`create`."""
-
-    kind: str
-    lr: float
+@dataclass(frozen=True)
+class TrainConfig:
+    optimizer: str = schema.field("adamw", among=OPTIMIZERS)
+    lr: float = schema.field(5e-5, positive=True)
+    epochs: int = schema.field(30, min=0)
+    batch_size: int = schema.field(32, min=1)
+    weight_decay: float = schema.field(0.0, min=0)
     beta1: float = 0.9
     beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.0
-    step_count: int = 0
-    exp_avg: np.ndarray | None = None
-    exp_avg_sq: np.ndarray | None = None
+    eps: float = schema.field(1e-8, positive=True)
+    early_stop: bool = False
+    patience: int = schema.field(10, min=1)
+    seed: int = schema.field(42, min=0)
+
+    def __post_init__(self):
+        schema.check(self)
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ConfigError(f"betas must lie in [0, 1), got ({self.beta1}, "
+                              f"{self.beta2})")
+
+
+@dataclass
+class OptimizerState:
+    """Optimizer buffers of one flat view of ``length`` coordinates, stepped
+    under ``cfg``'s optimizer, betas, eps and weight decay. ``lr`` is the
+    rate of the next step: cfg.lr at first, then as ``train`` decays it."""
+
+    cfg: TrainConfig
+    length: int
+    lr: float = field(init=False)
+    step_count: int = field(default=0, init=False)
+    exp_avg: np.ndarray | None = field(default=None, init=False)
+    exp_avg_sq: np.ndarray | None = field(default=None, init=False)
+
+    def __post_init__(self):
+        self.lr = self.cfg.lr
+        if self.cfg.optimizer == "adamw":
+            self.exp_avg = np.zeros(self.length, dtype=np.float32)
+            self.exp_avg_sq = np.zeros(self.length, dtype=np.float32)
 
     @classmethod
     def create(cls, kind: str, lr: float, length: int,
                beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
                weight_decay: float = 0.0) -> "OptimizerState":
-        # the rules for these values are TrainConfig's: build one to check them
-        TrainConfig(optimizer=kind, lr=lr, beta1=beta1, beta2=beta2, eps=eps,
-                    weight_decay=weight_decay)
-        state = cls(kind, lr, beta1, beta2, eps, weight_decay)
-        if kind == "adamw":
-            state.exp_avg = np.zeros(length, dtype=np.float32)
-            state.exp_avg_sq = np.zeros(length, dtype=np.float32)
-        return state
+        """The state for these hyperparameters, checked as the TrainConfig
+        they describe."""
+        return cls(TrainConfig(optimizer=kind, lr=lr, beta1=beta1,
+                               beta2=beta2, eps=eps,
+                               weight_decay=weight_decay), length)
 
 
 def step(params: ThetaTilde, grads: np.ndarray, mask: SparsityMask | None,
@@ -75,23 +98,24 @@ def step(params: ThetaTilde, grads: np.ndarray, mask: SparsityMask | None,
     else:
         active = slice(None)
 
-    if state.kind == "sgd":
+    cfg = state.cfg
+    if cfg.optimizer == "sgd":
         update = state.lr * g
     else:
         state.step_count += 1
         m, v = state.exp_avg, state.exp_avg_sq
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        corr1 = 1.0 - state.beta1 ** state.step_count
-        corr2 = 1.0 - state.beta2 ** state.step_count
-        update = state.lr * (m / corr1) / (np.sqrt(v / corr2) + state.eps)
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * g
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * (g * g)
+        corr1 = 1.0 - cfg.beta1 ** state.step_count
+        corr2 = 1.0 - cfg.beta2 ** state.step_count
+        update = state.lr * (m / corr1) / (np.sqrt(v / corr2) + cfg.eps)
 
     vec = params.data
     delta = update[active]
-    if state.weight_decay:
-        delta = delta + (state.lr * state.weight_decay) * vec[active]
+    if cfg.weight_decay:
+        delta = delta + (state.lr * cfg.weight_decay) * vec[active]
     if not np.all(np.isfinite(delta)):
         flat = np.flatnonzero(~np.isfinite(delta))[0]
         coord = flat if isinstance(active, slice) else int(active[flat])
@@ -101,27 +125,6 @@ def step(params: ThetaTilde, grads: np.ndarray, mask: SparsityMask | None,
 
 # ---------------------------------------------------------------------------
 # training
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    optimizer: str = schema.field("adamw", among=OPTIMIZERS)
-    lr: float = schema.field(5e-5, positive=True)
-    epochs: int = schema.field(30, min=0)
-    batch_size: int = schema.field(32, min=1)
-    weight_decay: float = schema.field(0.0, min=0)
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = schema.field(1e-8, positive=True)
-    early_stop: bool = False
-    patience: int = schema.field(10, min=1)
-    seed: int = schema.field(42, min=0)
-
-    def __post_init__(self):
-        schema.check(self)
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigError(f"betas must lie in [0, 1), got ({self.beta1}, "
-                              f"{self.beta2})")
 
 
 @dataclass
@@ -200,14 +203,11 @@ def train(model: TransformerModel, module: PeftModule,
     if not len(train_split):
         raise ContractError("train on an empty dataset")
 
-    theta = module.theta_tilde()
-    head = ThetaTilde(model.head_parameters())
-    opt_theta = OptimizerState.create(tcfg.optimizer, tcfg.lr, theta.length,
-                                      tcfg.beta1, tcfg.beta2, tcfg.eps,
-                                      tcfg.weight_decay)
-    opt_head = OptimizerState.create(tcfg.optimizer, tcfg.lr, head.length,
-                                     tcfg.beta1, tcfg.beta2, tcfg.eps,
-                                     tcfg.weight_decay)
+    # (view, mask, state): the masked adapter view, then the dense head
+    trained = [(view, view_mask, OptimizerState(tcfg, view.length))
+               for view, view_mask in ((module.theta_tilde(), mask),
+                                       (ThetaTilde(model.head_parameters()),
+                                        None))]
     ratio1, ratio2 = compute_ratios(model, module, mask)
     strategy = mask.strategy if mask is not None else "dense"
     seed = tcfg.seed
@@ -241,11 +241,10 @@ def train(model: TransformerModel, module: PeftModule,
                 return report(diverged=True)
             T.backward(loss)
             lr_now = tcfg.lr * max(0.0, 1.0 - step_idx / total_steps)
-            opt_theta.lr = lr_now
-            opt_head.lr = lr_now
             try:
-                step(theta, theta.grad_vector(), mask, opt_theta)
-                step(head, head.grad_vector(), None, opt_head)
+                for view, view_mask, state in trained:
+                    state.lr = lr_now
+                    step(view, view.grad_vector(), view_mask, state)
             except NumericError:
                 return report(diverged=True)
             loss_sum += value * len(batch)

@@ -13,14 +13,26 @@ dataset is a pure function of (kind, size, seed, dims). A split is one
 
 from __future__ import annotations
 
-import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import _schema as schema
 from .errors import ConfigError
 from .model import Batch
 
 TASK_KINDS = ("parity", "majority", "copy-class")
+
+
+@dataclass(frozen=True)
+class TaskConfig:
+    kind: str = schema.field("parity", among=TASK_KINDS)
+    size: int = schema.field(256, min=16)
+    seed: int = schema.field(42, min=0)
+    eval_size: int | None = schema.field(None, min=1)
+
+    def __post_init__(self):
+        schema.check(self)
 
 
 def _labels_for(kind: str, rows: np.ndarray, num_classes: int) -> np.ndarray:
@@ -33,9 +45,7 @@ def _labels_for(kind: str, rows: np.ndarray, num_classes: int) -> np.ndarray:
         counts = np.stack([(residues == c).sum(axis=1)
                            for c in range(num_classes)], axis=1)
         return counts.argmax(axis=1).astype(np.int64)
-    if kind == "copy-class":
-        return (rows[:, 0] % num_classes).astype(np.int64)
-    raise ConfigError(f"unknown task kind '{kind}'; expected one of {TASK_KINDS}")
+    return (rows[:, 0] % num_classes).astype(np.int64)  # copy-class
 
 
 def generate_task(kind: str, size: int, seed: int, *,
@@ -44,30 +54,16 @@ def generate_task(kind: str, size: int, seed: int, *,
                   batch_size: int = 32) -> tuple[Batch, Batch]:
     """Return the (train, eval) splits of one of TASK_KINDS, a ``Batch``
     each. ``batch_size`` has no effect: only the benchmark harness passes
-    it, and ROADMAP item 1 deletes it along with that caller. A mistyped or
-    out-of-range argument raises ConfigError."""
-    if kind not in TASK_KINDS:
-        raise ConfigError(f"unknown task kind '{kind}'; expected one of {TASK_KINDS}")
-    integers = {"size": size, "seed": seed, "vocab_size": vocab_size,
-                "seq_len": seq_len, "num_classes": num_classes,
-                "eval_size": eval_size}
-    for name, value in integers.items():
-        if value is None and name == "eval_size":
-            continue
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-            raise ConfigError(f"{name}: expected an integer, got {value!r}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    if size < 16:
-        raise ConfigError(f"task size must be >= 16, got {size}")
-    if vocab_size < 2 or seq_len < 2:
-        raise ConfigError("tasks need vocab_size >= 2 and seq_len >= 2")
-    if num_classes < 2:
-        raise ConfigError("tasks need num_classes >= 2")
+    it, and ROADMAP item 1 deletes it along with that caller. The other
+    arguments are checked as config fields (``vocab_size``, ``seq_len`` and
+    ``num_classes`` at least 2), so a bad one raises ConfigError naming it;
+    an integer must be an ``int``, not a bool, float or NumPy integer."""
+    TaskConfig(kind, size, seed, eval_size)
+    for name, value in (("vocab_size", vocab_size), ("seq_len", seq_len),
+                        ("num_classes", num_classes)):
+        schema.check_value(name, value, int, min=2)
     if eval_size is None:
         eval_size = max(size // 4, 8)
-    if eval_size < 1:
-        raise ConfigError(f"eval_size must be >= 1, got {eval_size}")
     needed = size + eval_size
     capacity = float(vocab_size) ** seq_len
     if capacity < needed * 2:

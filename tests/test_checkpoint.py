@@ -145,6 +145,16 @@ def rewrite_manifest(tmp_path, name, edit):
     return hacked
 
 
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda m: m["config"]["train"].update(lr=0.5), id="config"),
+    pytest.param(lambda m: m.update(config_hash="0" * 64), id="hash"),
+])
+def test_config_that_does_not_match_its_hash_is_rejected(tmp_path, edit):
+    hacked = rewrite_manifest(tmp_path, "rehashed.bin", edit)
+    with pytest.raises(CheckpointError, match="manifest config hashes to"):
+        load_checkpoint(hacked)
+
+
 def test_manifest_shape_mismatch_rejected(tmp_path):
     def grow_first_shape(manifest):
         manifest["tensors"][0]["shape"][0] += 1

@@ -27,6 +27,12 @@ def sample_config() -> ExperimentConfig:
         out_dir="/tmp/somewhere")
 
 
+def test_each_section_is_its_modules_config():
+    from peftlab import fisher, tasks
+    assert TaskConfig is tasks.TaskConfig
+    assert MaskConfig is fisher.MaskConfig
+
+
 def test_round_trip_identity():
     cfg = sample_config()
     assert from_dict(to_dict(cfg)) == cfg

@@ -253,6 +253,13 @@ def test_budget_to_k_frozen_values():
         budget_to_k(192, 1.5)
 
 
+@pytest.mark.parametrize("budget", [True, "0.5"])
+def test_budget_to_k_checks_the_budget_type(budget):
+    # True would train everything, and a str died with a bare TypeError
+    with pytest.raises(ConfigError, match="budget: expected a finite float"):
+        budget_to_k(8, budget)
+
+
 def test_select_validation():
     scores = np.ones(5, dtype=np.float32)
     with pytest.raises(ConfigError):
@@ -318,10 +325,26 @@ def test_score_and_mask_round_trip(tmp_path):
 
     save_scores(spath, FisherEstimate(est.scores, np.int64(16)))
     assert load_scores(spath).num_samples == 16
-    # a seed the manifest could not read back is refused before writing
-    with pytest.raises(TypeError):
-        save_mask(tmp_path / "float.bin", select(est, 3, "fish", seed=3.5))
-    assert not (tmp_path / "float.bin").exists()
+    # a seed the manifest could not read back is refused where the mask is made
+    with pytest.raises(ConfigError, match="seed: expected int"):
+        select(est, 3, "fish", seed=3.5)
+
+
+@pytest.mark.parametrize("num_samples", [-3, 0, True, 2.0, "16"])
+def test_estimate_num_samples_must_be_a_positive_integer(num_samples):
+    # a bad count is refused where it arrives, not saved into a file that
+    # load_scores then refuses, nor stored as 1 for True
+    with pytest.raises(ConfigError, match="num_samples"):
+        FisherEstimate(np.ones(4, dtype=np.float32), num_samples)
+    model, _, data = lora_fixture()
+    with pytest.raises(ConfigError, match="num_samples"):
+        estimate_fisher(model, data, num_samples=num_samples)
+
+
+@pytest.mark.parametrize("k", [2.0, True, "2"])
+def test_select_budget_must_be_an_integer(k):
+    with pytest.raises(ConfigError, match="k: expected int"):
+        select(np.ones(5, dtype=np.float32), k, "fish")
 
 
 def test_container_corruption_detected(tmp_path):

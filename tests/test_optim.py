@@ -125,6 +125,16 @@ def test_optimizer_state_validation():
         OptimizerState.create("sgd", "0.1", 4)
 
 
+def test_optimizer_state_keeps_its_train_config():
+    state = OptimizerState.create("adamw", 0.02, 6, beta1=0.8,
+                                  weight_decay=0.05)
+    assert state.cfg == TrainConfig(optimizer="adamw", lr=0.02, beta1=0.8,
+                                    weight_decay=0.05)
+    assert (state.length, state.lr, state.step_count) == (6, 0.02, 0)
+    assert state.exp_avg.shape == state.exp_avg_sq.shape == (6,)
+    assert OptimizerState.create("sgd", 0.1, 6).exp_avg is None
+
+
 # -- evaluate / ratios --------------------------------------------------------
 
 

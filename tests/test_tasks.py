@@ -89,12 +89,12 @@ def test_validation_errors():
 ])
 def test_mistyped_argument_is_config_error_naming_it(name, value):
     args = {"kind": "parity", "size": 64, "seed": 0, name: value}
-    with pytest.raises(ConfigError, match=f"^{name}: expected an integer"):
+    with pytest.raises(ConfigError, match=f"^{name}: expected int"):
         generate_task(**args)
 
 
 def test_negative_seed_or_vocab_is_config_error():
     with pytest.raises(ConfigError, match="seed must be >= 0"):
         generate_task("parity", 64, -1)
-    with pytest.raises(ConfigError, match="vocab_size >= 2"):
+    with pytest.raises(ConfigError, match="vocab_size must be >= 2"):
         generate_task("parity", 64, 0, vocab_size=-4)
