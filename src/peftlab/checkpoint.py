@@ -27,9 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _schema as schema
 from . import config as config_mod
 from .errors import CheckpointError, ConfigError, ContractError, NumericError
-from .fisher import STRATEGIES, FisherEstimate, SparsityMask
+from .fisher import FisherEstimate, SparsityMask
 from .model import TransformerModel, build_model
 from .peft import PeftModule, attach
 from .tensor import Tensor
@@ -39,35 +40,16 @@ FORMAT_VERSION = 1
 _PREAMBLE = struct.Struct("<4sIQ")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_count(value) -> bool:
-    return _is_int(value) and value >= 0
-
-
-# field -> (check, what a valid value is), per manifest record
-_COUNT = (_is_count, "a non-negative integer")
-_TEXT = (lambda v: isinstance(v, str), "a string")
-_MANIFEST_FIELDS = {"config": (lambda v: isinstance(v, dict), "an object"),
-                    "config_hash": _TEXT,
-                    "tensors": (lambda v: isinstance(v, list), "a list")}
-_TENSOR_FIELDS = {
-    "name": _TEXT,
-    "shape": (lambda v: isinstance(v, list) and all(map(_is_count, v)),
-              "a list of non-negative integers"),
-    "offset": _COUNT,
-    "nbytes": _COUNT,
-}
-_SCORE_FIELDS = {"num_samples": _COUNT, "offset": _COUNT, "nbytes": _COUNT}
-_MASK_FIELDS = {
-    "strategy": (lambda v: v in STRATEGIES, f"one of {list(STRATEGIES)}"),
-    "k": _COUNT,
-    "seed": (lambda v: v is None or _is_int(v), "an integer or null"),
-    "offset": _COUNT,
-    "nbytes": _COUNT,
-}
+# field -> its JSON type, per manifest record. An int is a count (>= 0);
+# an ``object`` field only has to be present, since the object it loads
+# into checks its value.
+_MANIFEST_FIELDS = {"config": dict, "config_hash": str, "tensors": list}
+_TENSOR_FIELDS = {"name": str, "shape": list, "offset": int, "nbytes": int}
+_SCORE_FIELDS = {"num_samples": object, "offset": int, "nbytes": int}
+_MASK_FIELDS = {"strategy": object, "k": int, "seed": object, "offset": int,
+                "nbytes": int}
+_JSON_NAMES = {dict: "an object", str: "a string", list: "a list",
+               int: "a non-negative integer"}
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
@@ -168,15 +150,19 @@ def save_scores(path, estimate: FisherEstimate) -> None:
 
 def _require(record, fields: dict, what: str, path) -> None:
     """Check that ``record`` is an object holding every field of ``fields``,
-    each of the type and range its rule demands."""
+    each of its JSON type."""
     if not isinstance(record, dict):
         raise CheckpointError(f"{path}: {what} is not a JSON object")
-    for name, (valid, expected) in fields.items():
+    for name, tp in fields.items():
         if name not in record:
             raise CheckpointError(f"{path}: {what} lacks field '{name}'")
-        if not valid(record[name]):
+        try:
+            schema.check_value(name, record[name], tp,
+                               min=0 if tp is int else None)
+        except ConfigError as e:
             raise CheckpointError(f"{path}: {what} field '{name}' must be "
-                                  f"{expected}, got {record[name]!r}")
+                                  f"{_JSON_NAMES[tp]}, got {record[name]!r}"
+                                  ) from e
 
 
 def _read(path) -> tuple[dict, bytes]:
@@ -276,34 +262,33 @@ def load_checkpoint(path) -> CheckpointState:
         raise CheckpointError(f"{path}: manifest config hashes to {chash}, "
                               f"not the stored {manifest['config_hash']}")
 
-    restored: dict[str, np.ndarray] = {}
+    live = dict(_named_tensors(model, module))
+    unread = set(live)
     for entry in manifest["tensors"]:
         _require(entry, _TENSOR_FIELDS, "tensor entry", path)
         name = entry["name"]
-        if name in restored:
+        if name not in live:
+            raise CheckpointError(f"{path}: manifest names unknown tensor "
+                                  f"'{name}'")
+        if name not in unread:
             raise CheckpointError(f"{path}: manifest names tensor '{name}' "
                                   f"twice")
-        block = _block(payload, entry, f"tensor '{name}'", path)
-        shape = tuple(entry["shape"])
-        if int(np.prod(shape, dtype=np.int64)) * 4 != len(block):
-            raise CheckpointError(f"{path}: tensor '{name}' declares shape "
-                                  f"{shape} but {len(block)} payload bytes")
-        restored[name] = np.frombuffer(block, dtype="<f4").reshape(shape)
-
-    live = dict(_named_tensors(model, module))
-    missing = sorted(set(live) - set(restored))
-    if missing:
-        raise CheckpointError(f"{path}: manifest lacks tensor '{missing[0]}'")
-    extra = sorted(set(restored) - set(live))
-    if extra:
-        raise CheckpointError(f"{path}: manifest names unknown tensor "
-                              f"'{extra[0]}'")
-    for name, tensor in live.items():
-        if tuple(restored[name].shape) != tensor.shape:
+        unread.remove(name)
+        tensor = live[name]
+        if tuple(entry["shape"]) != tensor.shape:
             raise CheckpointError(f"{path}: tensor '{name}' has shape "
-                                  f"{restored[name].shape}, expected "
+                                  f"{tuple(entry['shape'])}, expected "
                                   f"{tensor.shape}")
-        tensor.data[...] = restored[name]
+        block = _block(payload, entry, f"tensor '{name}'", path)
+        if len(block) != tensor.data.nbytes:
+            raise CheckpointError(f"{path}: tensor '{name}' has "
+                                  f"{len(block)} payload bytes, expected "
+                                  f"{tensor.data.nbytes}")
+        tensor.data[...] = np.frombuffer(block, dtype="<f4").reshape(
+            tensor.shape)
+    if unread:
+        raise CheckpointError(f"{path}: manifest lacks tensor "
+                              f"'{min(unread)}'")
 
     mask = None
     if manifest.get("mask") is not None:

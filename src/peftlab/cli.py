@@ -5,7 +5,11 @@ Subcommands mirror the pipeline stages: ``gen-data`` writes a dataset,
 ``train`` runs the full pipeline, ``eval`` re-scores a checkpoint,
 ``compare`` sweeps strategies x budgets x seeds, and ``report`` renders
 stored run reports as text. Flags override the config file. Exit codes:
-0 success, 1 validation failure (including usage errors), 2 runtime failure.
+0 success; 1 a usage error or a config value its own field rule refuses;
+2 a runtime failure. A value that can only be checked against the built
+model or the data (a rank above a weight's smaller dimension, a target
+layer the model lacks) fails in its pipeline stage, exits 2, and the
+message names that stage.
 """
 
 from __future__ import annotations

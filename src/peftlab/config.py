@@ -1,10 +1,11 @@
 """Experiment configuration: a versioned, strictly-typed JSON document.
 
-``from_dict`` rejects unknown keys anywhere in the tree and
-``to_dict(from_dict(d)) == d`` for any document it accepts, so configs are
-lossless round-trippers. ``config_hash`` fingerprints everything except the
-output directory (two runs writing to different places are the same
-experiment).
+``from_dict`` rejects unknown keys anywhere in the tree and fills a missing
+key with its default. ``from_dict(to_dict(c)) == c`` for every config, and
+``to_dict(from_dict(d)) == d`` for a complete document (one that names every
+key); a partial document comes back with its defaults filled in.
+``config_hash`` fingerprints everything except the output directory (two
+runs writing to different places are the same experiment).
 
 Each section is the config dataclass of the module it configures. A config
 is checked the same way whether it comes from JSON or from Python

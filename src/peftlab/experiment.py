@@ -59,41 +59,26 @@ def _make_task(cfg: ExperimentConfig):
 
 
 def report_to_dict(report: TrainReport, k: int, theta_len: int) -> dict:
-    return {
-        "config_hash": report.config_hash,
-        "strategy": report.strategy,
-        "seed": report.seed,
-        "ratio1": report.ratio1,
-        "ratio2": report.ratio2,
-        "k": k,
-        "theta_len": theta_len,
-        "diverged": report.diverged,
-        "stopped_early_at": report.stopped_early_at,
-        "final_eval_loss": report.final_eval_loss,
-        "final_eval_accuracy": report.final_eval_accuracy,
-        "wall_time_seconds": report.wall_time_seconds,
-        "records": [{"epoch": r.epoch, "train_loss": r.train_loss,
-                     "eval_loss": r.eval_loss,
-                     "eval_accuracy": r.eval_accuracy}
-                    for r in report.records],
-    }
+    """report.json: the report's fields, the mask's popcount, the flat-view
+    length and the final eval numbers."""
+    return {**dataclasses.asdict(report), "k": k, "theta_len": theta_len,
+            "final_eval_loss": report.final_eval_loss,
+            "final_eval_accuracy": report.final_eval_accuracy}
 
 
 def metrics_lines(report: TrainReport) -> str:
     """One JSON object per line; train lines carry no accuracy."""
+    run = {"ratio1": report.ratio1, "ratio2": report.ratio2,
+           "strategy": report.strategy, "seed": report.seed}
     lines = []
     for r in report.records:
         if r.train_loss is not None:
-            lines.append(json.dumps({
-                "epoch": r.epoch, "split": "train", "loss": r.train_loss,
-                "accuracy": None, "ratio1": report.ratio1,
-                "ratio2": report.ratio2, "strategy": report.strategy,
-                "seed": report.seed}))
-        lines.append(json.dumps({
-            "epoch": r.epoch, "split": "eval", "loss": r.eval_loss,
-            "accuracy": r.eval_accuracy, "ratio1": report.ratio1,
-            "ratio2": report.ratio2, "strategy": report.strategy,
-            "seed": report.seed}))
+            lines.append(json.dumps({"epoch": r.epoch, "split": "train",
+                                     "loss": r.train_loss, "accuracy": None,
+                                     **run}))
+        lines.append(json.dumps({"epoch": r.epoch, "split": "eval",
+                                 "loss": r.eval_loss,
+                                 "accuracy": r.eval_accuracy, **run}))
     return "\n".join(lines) + "\n"
 
 

@@ -11,11 +11,12 @@ import pytest
 
 from peftlab import tensor as T
 from peftlab.checkpoint import (FORMAT_VERSION, atomic_write_bytes,
-                                load_checkpoint, save_checkpoint)
+                                load_checkpoint, load_mask, load_scores,
+                                save_checkpoint, save_scores)
 from peftlab.cli import cli
 from peftlab.config import ExperimentConfig, MaskConfig, TaskConfig
 from peftlab.errors import CheckpointError
-from peftlab.fisher import select
+from peftlab.fisher import FisherEstimate, select
 from peftlab.model import Batch, ModelConfig, build_model, forward
 from peftlab.optim import TrainConfig, train
 from peftlab.peft import PeftConfig, attach
@@ -126,23 +127,34 @@ def test_bad_magic_and_version(tmp_path):
         load_checkpoint(short)
 
 
-def rewrite_manifest(tmp_path, name, edit):
-    """Save a checkpoint, apply ``edit`` to its manifest dict, and write the
-    result (payload offsets unchanged) to tmp_path / name."""
-    cfg = small_config()
-    model, module, mask = build_state(cfg)
+def rewrite_body(tmp_path, name, rewrite, save=None):
+    """Save a checkpoint (or call ``save(path)``), pass its manifest bytes
+    through ``rewrite``, and write the result (payload offsets unchanged) to
+    tmp_path / name."""
     path = tmp_path / "ckpt.bin"
-    save_checkpoint(path, cfg, model, module, mask)
+    if save is None:
+        cfg = small_config()
+        model, module, mask = build_state(cfg)
+        save_checkpoint(path, cfg, model, module, mask)
+    else:
+        save(path)
     blob = path.read_bytes()
     pre = struct.Struct("<4sIQ")
     magic, version, mlen = pre.unpack_from(blob)
-    manifest = json.loads(blob[pre.size:pre.size + mlen])
-    edit(manifest)
-    body = json.dumps(manifest, sort_keys=True).encode()
+    body = rewrite(blob[pre.size:pre.size + mlen])
     hacked = tmp_path / name
     hacked.write_bytes(pre.pack(magic, version, len(body)) + body
                        + blob[pre.size + mlen:])
     return hacked
+
+
+def rewrite_manifest(tmp_path, name, edit, save=None):
+    """:func:`rewrite_body` that applies ``edit`` to the manifest dict."""
+    def rewrite(body):
+        manifest = json.loads(body)
+        edit(manifest)
+        return json.dumps(manifest, sort_keys=True).encode()
+    return rewrite_body(tmp_path, name, rewrite, save)
 
 
 @pytest.mark.parametrize("edit", [
@@ -170,21 +182,26 @@ _MISSING = [(None, "config"), (None, "config_hash"), (None, "tensors"),
             ("tensor", "name"), ("tensor", "shape"), ("tensor", "offset"),
             ("tensor", "nbytes"), ("mask", "strategy"), ("mask", "k"),
             ("mask", "seed"), ("mask", "offset"), ("mask", "nbytes")]
-_MISTYPED = [(None, "tensors", 5, "int"),
-             ("tensor", "offset", "0", "str"),
-             ("tensor", "offset", -4, "negative"),
-             ("tensor", "shape", "ab", "str"),
-             ("mask", "strategy", "bogus", "unknown"),
-             ("mask", "k", "3", "str")]
+# (record, field, value, id, the message when not "field '<field>' must be")
+_MISTYPED = [(None, "tensors", 5, "int", None),
+             ("tensor", "offset", "0", "str", None),
+             ("tensor", "offset", -4, "negative", None),
+             ("tensor", "shape", "ab", "str", None),
+             ("mask", "strategy", "bogus", "unknown",
+              "strategy: expected one of"),
+             ("mask", "k", "3", "str", None),
+             # SparsityMask, not the manifest reader, checks these values
+             ("mask", "seed", "3", "str", "seed: expected int"),
+             ("mask", "seed", 1.5, "float", "seed: expected int")]
 
 
-@pytest.mark.parametrize("record,field,value", [
-    *(pytest.param(r, f, _DROP, id=f"{r}-{f}") for r, f in _MISSING),
-    *(pytest.param(r, f, v, id=f"{r}-{f}-{kind}")
-      for r, f, v, kind in _MISTYPED),
+@pytest.mark.parametrize("record,field,value,pattern", [
+    *(pytest.param(r, f, _DROP, None, id=f"{r}-{f}") for r, f in _MISSING),
+    *(pytest.param(r, f, v, pattern, id=f"{r}-{f}-{kind}")
+      for r, f, v, kind, pattern in _MISTYPED),
 ])
 def test_manifest_missing_field_is_checkpoint_error(tmp_path, record, field,
-                                                    value):
+                                                    value, pattern):
     def edit(manifest):
         target = {None: manifest, "tensor": manifest["tensors"][0],
                   "mask": manifest["mask"]}[record]
@@ -195,9 +212,86 @@ def test_manifest_missing_field_is_checkpoint_error(tmp_path, record, field,
 
     hacked = rewrite_manifest(tmp_path, "hole.bin", edit)
     expected = (f"lacks field '{field}'" if value is _DROP
-                else f"field '{field}' must be")
+                else pattern or f"field '{field}' must be")
     with pytest.raises(CheckpointError, match=expected):
         load_checkpoint(hacked)
+
+
+def save_small_scores(path):
+    save_scores(path, FisherEstimate(np.ones(4, dtype=np.float32), 2))
+
+
+@pytest.mark.parametrize("value, message", [
+    (0, "num_samples must be >= 1"),
+    (True, "num_samples: expected int"),
+])
+def test_score_record_num_samples_is_the_estimates_to_check(tmp_path, value,
+                                                            message):
+    hacked = rewrite_manifest(
+        tmp_path, "samples.bin",
+        lambda manifest: manifest["scores"].update(num_samples=value),
+        save=save_small_scores)
+    with pytest.raises(CheckpointError, match=message):
+        load_scores(hacked)
+
+
+@pytest.mark.parametrize("rewrite, message", [
+    pytest.param(lambda body: b"[]", "manifest is not a JSON object",
+                 id="list"),
+    pytest.param(lambda body: b"{not json", "manifest is not valid JSON",
+                 id="not-json"),
+])
+def test_unreadable_manifest_is_checkpoint_error(tmp_path, rewrite, message):
+    hacked = rewrite_body(tmp_path, "manifest.bin", rewrite)
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(hacked)
+
+
+def test_truncated_manifest_is_checkpoint_error(tmp_path):
+    cfg = small_config()
+    save_checkpoint(tmp_path / "ckpt.bin", cfg, *build_state(cfg))
+    blob = bytearray((tmp_path / "ckpt.bin").read_bytes())
+    struct.pack_into("<Q", blob, 8, len(blob))  # runs past the end
+    (tmp_path / "cut.bin").write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="truncated manifest"):
+        load_checkpoint(tmp_path / "cut.bin")
+
+
+def _tensor(manifest, name):
+    return next(e for e in manifest["tensors"] if e["name"] == name)
+
+
+# each edit leaves the rest of the file valid, so only its refusal can fire
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda m: m.update(format_version=FORMAT_VERSION + 1),
+                 "manifest version mismatch", id="format-version"),
+    pytest.param(lambda m: m.update(mask=5),
+                 "mask record is not a JSON object", id="mask-not-object"),
+    pytest.param(lambda m: m["mask"].update(k=m["mask"]["k"] + 1),
+                 r"mask popcount \d+ does not match manifest k=",
+                 id="popcount"),
+    pytest.param(lambda m: m["tensors"].remove(_tensor(m, "pos_embedding")),
+                 "manifest lacks tensor 'pos_embedding'", id="lacks-tensor"),
+    pytest.param(lambda m: m["tensors"].append({**m["tensors"][0],
+                                                "name": "ghost"}),
+                 "manifest names unknown tensor 'ghost'", id="unknown-tensor"),
+    # the same element count, so only the shape comparison can fire
+    pytest.param(lambda m: _tensor(m, "layer0/FFN1")["shape"].reverse(),
+                 r"tensor 'layer0/FFN1' has shape \(16, 8\), expected "
+                 r"\(8, 16\)", id="transposed"),
+    pytest.param(lambda m: _tensor(m, "embedding").update(nbytes=252),
+                 "tensor 'embedding' .*252 payload bytes", id="block-size"),
+])
+def test_manifest_edit_is_refused(tmp_path, edit, message):
+    hacked = rewrite_manifest(tmp_path, "edited.bin", edit)
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(hacked)
+
+
+def test_load_mask_of_a_score_file_is_rejected(tmp_path):
+    save_small_scores(tmp_path / "scores.bin")
+    with pytest.raises(CheckpointError, match="not a mask file"):
+        load_mask(tmp_path / "scores.bin")
 
 
 def test_mask_length_must_match_the_flat_view(tmp_path):

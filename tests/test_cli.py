@@ -175,6 +175,18 @@ def test_random_run_with_a_seed_past_int64_writes_every_artifact(tmp_path,
     assert load_checkpoint(out / "checkpoint.bin").mask.seed == 2**63
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--rank", "100",
+     "stage 'attach': rank 100 exceeds min dim of W_Q (32, 32)"),
+    ("--layers", "5", "stage 'attach': top layer index 5 outside"),
+])
+def test_value_checked_against_the_model_fails_in_its_stage(capsys, flag,
+                                                            value, message):
+    # each field rule accepts the value; only the built model refuses it
+    assert cli(["train", flag, value]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_eval_missing_checkpoint_is_runtime_error(tmp_path):
     assert cli(["eval", str(tmp_path / "ghost.bin")]) == 2
 

@@ -37,9 +37,13 @@ def test_round_trip_identity():
     cfg = sample_config()
     assert from_dict(to_dict(cfg)) == cfg
     assert from_json(to_json(cfg)) == cfg
-    # dict -> config -> dict is the identity on accepted documents
+    # dict -> config -> dict is the identity on complete documents
     doc = to_dict(cfg)
     assert to_dict(from_dict(doc)) == doc
+    # a partial document comes back whole, its missing keys at their defaults
+    partial = {"model": {"max_seq_len": 4}}
+    expected = to_dict(ExperimentConfig(model=ModelConfig(max_seq_len=4)))
+    assert to_dict(from_dict(partial)) == expected != partial
 
 
 def test_defaults_round_trip():
