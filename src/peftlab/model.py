@@ -186,12 +186,6 @@ class TransformerModel:
             t.requires_grad = False
             t.grad = None
 
-    def zero_grads(self) -> None:
-        for _, t in self.named_parameters():
-            t.grad = None
-        if self.peft is not None:
-            self.peft.zero_grads()
-
     # -- objectives -----------------------------------------------------------
 
     def batch_nll(self, token_rows: np.ndarray, labels: np.ndarray) -> Tensor:

@@ -66,16 +66,6 @@ class OptimizerState:
             self.exp_avg = np.zeros(self.length, dtype=np.float32)
             self.exp_avg_sq = np.zeros(self.length, dtype=np.float32)
 
-    @classmethod
-    def create(cls, kind: str, lr: float, length: int,
-               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-               weight_decay: float = 0.0) -> "OptimizerState":
-        """The state for these hyperparameters, checked as the TrainConfig
-        they describe."""
-        return cls(TrainConfig(optimizer=kind, lr=lr, beta1=beta1,
-                               beta2=beta2, eps=eps,
-                               weight_decay=weight_decay), length)
-
 
 def step(params: ThetaTilde, grads: np.ndarray, mask: SparsityMask | None,
          state: OptimizerState) -> None:
@@ -234,7 +224,8 @@ def train(model: TransformerModel, module: PeftModule,
         for i in range(0, len(order), tcfg.batch_size):
             idx = order[i:i + tcfg.batch_size]
             batch = Batch(train_split.token_ids[idx], train_split.labels[idx])
-            model.zero_grads()
+            for view, _, _ in trained:
+                view.zero_grads()
             loss = T.log_softmax_nll(forward(model, batch), batch.labels)
             value = loss.item()
             if not np.isfinite(value):

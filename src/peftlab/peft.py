@@ -81,14 +81,17 @@ class Segment:
 
 
 class ThetaTilde:
-    """One contiguous float32 buffer, ``data``, behind named trainable tensors.
+    """Two contiguous float32 buffers, ``data`` and ``grad``, behind named
+    trainable tensors.
 
     The constructor copies each tensor into its segment of ``data`` and
-    rebinds the tensor's ``.data`` to a view of that segment, so a write
-    through the buffer and an in-place write to a tensor are the same write.
-    Code in this package never rebinds ``.data`` on a tensor a view holds:
-    that would cut the tensor loose from the buffer. ``to_vector`` returns a
-    copy; ``set_vector(to_vector())`` is a bitwise no-op.
+    rebinds the tensor's ``.data`` and ``.grad`` to views of its segments
+    (``grad`` starts zeroed), so a write through a buffer and an in-place
+    write to a tensor are the same write; ``backward`` adds into ``.grad``
+    in place. Code in this package never rebinds ``.data`` or ``.grad`` on
+    a tensor a view holds: that would cut the tensor loose from the buffer.
+    ``to_vector`` returns a copy; ``set_vector(to_vector())`` is a bitwise
+    no-op. ``grad_vector`` returns the live ``grad`` buffer.
     """
 
     def __init__(self, entries: list[tuple[str, Tensor]]):
@@ -102,10 +105,12 @@ class ThetaTilde:
             offset += t.size
         self.length = offset
         self.data = np.empty(offset, dtype=np.float32)
+        self.grad = np.zeros(offset, dtype=np.float32)
         for seg, (_, t) in zip(self.segments, self.entries):
             view = self.data[seg.start:seg.stop]
             view[:] = t.data.ravel()
             t.data = view.reshape(seg.shape)
+            t.grad = self.grad[seg.start:seg.stop].reshape(seg.shape)
 
     def __len__(self) -> int:
         return self.length
@@ -124,17 +129,10 @@ class ThetaTilde:
         self.data[:] = v
 
     def grad_vector(self) -> np.ndarray:
-        parts = []
-        for _, t in self.entries:
-            if t.grad is None:
-                parts.append(np.zeros(t.size, dtype=np.float32))
-            else:
-                parts.append(t.grad.ravel())
-        return np.concatenate(parts)
+        return self.grad
 
     def zero_grads(self) -> None:
-        for _, t in self.entries:
-            t.grad = None
+        self.grad.fill(0.0)
 
 
 def pissa_init(w0: Tensor, rank: int) -> tuple[Tensor, Tensor, Tensor]:
@@ -215,10 +213,8 @@ class PeftModule(ForwardHooks):
         return self._theta
 
     def param_count(self) -> int:
+        """Every adapter parameter attached: here, the view's length."""
         return self.theta_tilde().length
-
-    def zero_grads(self) -> None:
-        self.theta_tilde().zero_grads()
 
     def trainable_entries(self) -> list[tuple[str, Tensor]]:
         return list(self.theta_tilde().entries)
@@ -451,6 +447,13 @@ class UniPeltModule(PeftModule):
                 if cfg.include_gates:
                     raw.append((li, f"gate_{name}", "w", wg))
         super().__init__(cfg, raw)
+
+    def param_count(self) -> int:
+        """The view plus any gate weights left out of it: attached all
+        the same."""
+        frozen = 0 if self.cfg.include_gates else \
+            sum(wg.size for wg in self.gate_weights.values())
+        return super().param_count() + frozen
 
     def begin_layer(self, layer, x):
         for name in self.submodules:

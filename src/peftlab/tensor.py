@@ -4,7 +4,8 @@ Storage is float32 throughout; matrix products and reductions accumulate in
 float64 and round back to float32, so results are reproducible bit for bit on
 a given platform (numpy's kernels fix the summation order). The graph is
 define-by-run: every op that touches a grad-requiring tensor records a node,
-and ``backward`` replays the tape once in reverse topological order.
+and ``backward`` replays the tape once in reverse topological order. A leaf
+that has a ``.grad`` array adds into it in place; a flat view's leaves do.
 
 Pullbacks compute a cotangent only for the inputs whose ``requires_grad`` is
 true when ``backward`` runs, and return ``None`` for the others, so a frozen
@@ -125,9 +126,11 @@ class Tensor:
 
     ``grad`` is populated only on leaves (tensors the user created with
     ``requires_grad=True``); intermediate gradients are released as soon as
-    backward consumes them. ``example_axis`` marks axis 0 as the example
-    axis (see the module docstring); ``replayed``, a tensor whose node
-    backward has run and dropped.
+    backward consumes them. A leaf with a ``grad`` adds into it in place;
+    a leaf a flat view holds always has one, a segment of the view's
+    gradient buffer (see ``peft.ThetaTilde``). ``example_axis`` marks axis 0
+    as the example axis (see the module docstring); ``replayed``, a tensor
+    whose node backward has run and dropped.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "node", "example_axis",
@@ -263,8 +266,9 @@ def backward(loss: Tensor, per_example: Sequence[Tensor] | None = None):
     """Accumulate d(loss)/d(leaf) into ``.grad`` of every requiring leaf.
 
     ``loss`` must be scalar. Each node is visited exactly once; cotangents of
-    interior tensors are dropped once consumed. Grads add onto whatever is
-    already in ``.grad``, so callers zero leaves between backward passes.
+    interior tensors are dropped once consumed. Grads add in place onto
+    whatever array is already in ``.grad`` (a leaf without one takes its
+    first cotangent), so callers zero leaves between backward passes.
     A graph is replayed once: the pass drops every node it reaches (``node``
     becomes None), so a tensor held afterwards, such as the loss, keeps none
     of the tape alive. It marks those tensors ``replayed``, and a later pass
@@ -293,11 +297,18 @@ def backward(loss: Tensor, per_example: Sequence[Tensor] | None = None):
         return _backward_per_example(loss, tuple(per_example))
     if loss.node is None:
         if loss.requires_grad:
-            seed = np.ones(loss.shape, dtype=np.float32)
-            loss.grad = seed if loss.grad is None else loss.grad + seed
+            _accumulate(loss, np.ones(loss.shape, dtype=np.float32))
         return None
     _replay(loss, _topo_order(loss))
     return None
+
+
+def _accumulate(leaf: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` into ``leaf.grad`` in place, or make it the grad if none."""
+    if leaf.grad is None:
+        leaf.grad = g
+    else:
+        leaf.grad += g
 
 
 def _replay(loss: Tensor, order: list[Tensor]) -> dict[int, np.ndarray]:
@@ -340,7 +351,7 @@ def _replay(loss: Tensor, order: list[Tensor]) -> dict[int, np.ndarray]:
                         f"'{node.op}' cannot keep the example axis in the "
                         f"cotangent of an input of shape {inp.shape}")
             elif inp.node is None:
-                inp.grad = gi if inp.grad is None else inp.grad + gi
+                _accumulate(inp, gi)
                 continue
             acc = cotangents.get(id(inp))
             cotangents[id(inp)] = gi if acc is None else acc + gi

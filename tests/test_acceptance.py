@@ -148,7 +148,6 @@ def test_criterion_1_gradient_correctness():
             assert abs(got - fd) <= 1e-3 * max(1.0, abs(got), abs(fd)), \
                 f"{pname}[{i}]: backward {got} vs finite difference {fd}"
             checked += 1
-    model.zero_grads()
 
     elapsed = time.perf_counter() - started
     verdict(1, "gradient-correctness", elapsed < 60.0,
@@ -316,11 +315,11 @@ def _manual_steps(model, module, mask, data, n_steps, lr=0.01,
     batches = [Batch(data.token_ids[i:i + 16], data.labels[i:i + 16])
                for i in range(0, len(data), 16)]
     theta = module.theta_tilde()
-    opt = OptimizerState.create("adamw", lr, theta.length)
+    opt = OptimizerState(TrainConfig(optimizer="adamw", lr=lr), theta.length)
     history = []
     for s in range(n_steps):
         batch = batches[s % len(batches)]
-        model.zero_grads()
+        theta.zero_grads()
         loss = T.log_softmax_nll(forward(model, batch), batch.labels)
         T.backward(loss)
         step(theta, theta.grad_vector(), mask, opt)

@@ -83,7 +83,6 @@ def batch1_scores(model, data, num_samples):
         T.backward(example_nll(model, row, label))
         g = theta.grad_vector().astype(np.float64)
         acc += g * g
-    model.zero_grads()
     return (acc / num_samples).astype(np.float32)
 
 
@@ -111,10 +110,16 @@ def test_batched_scores_equal_batch1_oracle(method):
     for _, t in module.theta_tilde().entries + model.head_parameters():
         t.data[:] = t.data + rng.normal(0.0, 0.3, size=t.shape)
     data = generate_task("parity", 48, 3, vocab_size=8, seq_len=6)[0]
+    leaves = [t for _, t in module.theta_tilde().entries
+              + model.head_parameters()]
+
+    def grads():
+        return [None if t.grad is None else t.grad.tobytes() for t in leaves]
+
     for n in (40, 8, 1):
+        before = grads()
         est = estimate_fisher(model, data, num_samples=n)
-        assert all(t.grad is None for _, t in module.theta_tilde().entries
-                   + model.head_parameters())
+        assert grads() == before  # scoring writes no gradient
         np.testing.assert_array_equal(est.scores,
                                       batch1_scores(model, data, n))
 

@@ -30,7 +30,7 @@ def view_of(values) -> ThetaTilde:
 def test_sgd_oracle():
     view = view_of([1.0, -2.0, 0.5])
     g = np.array([0.5, 0.25, -1.0], dtype=np.float32)
-    state = OptimizerState.create("sgd", 0.1, 3)
+    state = OptimizerState(TrainConfig(optimizer="sgd", lr=0.1), 3)
     step(view, g, None, state)
     want = np.array([1.0, -2.0, 0.5], dtype=np.float32) \
         - np.float32(0.1) * g
@@ -58,7 +58,8 @@ def test_adamw_matches_reference(wd):
     init = rng.normal(size=12).astype(np.float32)
     grads = [rng.normal(size=12).astype(np.float32) for _ in range(7)]
     view = view_of(init)
-    state = OptimizerState.create("adamw", 0.05, 12, weight_decay=wd)
+    state = OptimizerState(TrainConfig(optimizer="adamw", lr=0.05,
+                                       weight_decay=wd), 12)
     for g in grads:
         step(view, g, None, state)
     want = adamw_reference(init, grads, 0.05, wd=wd)
@@ -70,7 +71,8 @@ def test_masked_coordinates_bitwise_frozen_and_moments_zero():
     init = rng.normal(size=40).astype(np.float32)
     view = view_of(init)
     mask = select(rng.uniform(size=40).astype(np.float32), 13, "fish")
-    state = OptimizerState.create("adamw", 0.01, 40, weight_decay=0.1)
+    state = OptimizerState(TrainConfig(optimizer="adamw", lr=0.01,
+                                       weight_decay=0.1), 40)
     for _ in range(50):
         step(view, rng.normal(size=40).astype(np.float32), mask, state)
     out = view.to_vector()
@@ -88,7 +90,8 @@ def test_dense_mask_bitwise_equals_no_mask():
     runs = []
     for mask in (None, select(np.zeros(24, dtype=np.float32), 1, "dense")):
         view = view_of(init)
-        state = OptimizerState.create("adamw", 0.02, 24, weight_decay=0.05)
+        state = OptimizerState(TrainConfig(optimizer="adamw", lr=0.02,
+                                           weight_decay=0.05), 24)
         for g in grads:
             step(view, g, mask, state)
         runs.append(view.to_vector())
@@ -97,7 +100,7 @@ def test_dense_mask_bitwise_equals_no_mask():
 
 def test_step_validation_and_nonfinite():
     view = view_of(np.zeros(5))
-    state = OptimizerState.create("sgd", 0.1, 5)
+    state = OptimizerState(TrainConfig(optimizer="sgd", lr=0.1), 5)
     with pytest.raises(ContractError):
         step(view, np.zeros(4, dtype=np.float32), None, state)
     mask = select(np.arange(4, dtype=np.float32), 2, "fish")
@@ -111,28 +114,29 @@ def test_step_validation_and_nonfinite():
 
 def test_optimizer_state_validation():
     with pytest.raises(ConfigError):
-        OptimizerState.create("mystery", 0.1, 3)
+        TrainConfig(optimizer="mystery", lr=0.1)
     with pytest.raises(ConfigError):
-        OptimizerState.create("sgd", 0.0, 3)
+        TrainConfig(optimizer="sgd", lr=0.0)
     with pytest.raises(ConfigError):
-        OptimizerState.create("adamw", 0.1, 3, beta1=1.0)
+        TrainConfig(optimizer="adamw", lr=0.1, beta1=1.0)
     with pytest.raises(ConfigError):
-        OptimizerState.create("adamw", 0.1, 3, weight_decay=-0.1)
+        TrainConfig(optimizer="adamw", lr=0.1, weight_decay=-0.1)
     # a mistyped value is refused as a config error, not stored or crashed on
     with pytest.raises(ConfigError, match="lr: expected a finite float"):
-        OptimizerState.create("sgd", True, 4)
+        TrainConfig(optimizer="sgd", lr=True)
     with pytest.raises(ConfigError, match="lr: expected a finite float"):
-        OptimizerState.create("sgd", "0.1", 4)
+        TrainConfig(optimizer="sgd", lr="0.1")
 
 
 def test_optimizer_state_keeps_its_train_config():
-    state = OptimizerState.create("adamw", 0.02, 6, beta1=0.8,
-                                  weight_decay=0.05)
+    state = OptimizerState(TrainConfig(optimizer="adamw", lr=0.02, beta1=0.8,
+                                       weight_decay=0.05), 6)
     assert state.cfg == TrainConfig(optimizer="adamw", lr=0.02, beta1=0.8,
                                     weight_decay=0.05)
     assert (state.length, state.lr, state.step_count) == (6, 0.02, 0)
     assert state.exp_avg.shape == state.exp_avg_sq.shape == (6,)
-    assert OptimizerState.create("sgd", 0.1, 6).exp_avg is None
+    sgd = OptimizerState(TrainConfig(optimizer="sgd", lr=0.1), 6)
+    assert sgd.exp_avg is None
 
 
 # -- evaluate / ratios --------------------------------------------------------
@@ -191,6 +195,19 @@ def test_compute_ratios_identity_within_one_ulp():
         lhs = Fraction(r1) / Fraction(r2)
         rhs = Fraction(length, total)
         assert abs(lhs - rhs) / rhs <= Fraction(1, 2 ** 52)
+
+
+def test_ratio1_counts_unipelt_gates_left_out_of_the_view():
+    """Frozen gates are attached and used in every forward pass, so they
+    count toward the model total, though not toward the view."""
+    model = build_model(ModelConfig())
+    module = attach(model, PeftConfig(method="unipelt", rank=2, prefix_len=3,
+                                      include_gates=False))
+    gates = sum(wg.size for wg in module.gate_weights.values())
+    length = module.theta_tilde().length
+    assert (model.param_count(), length, gates) == (17922, 832, 96)
+    assert module.param_count() == length + gates
+    assert compute_ratios(model, module, None) == (832 / 18850, 1.0)
 
 
 def test_halving_budget_halves_ratio1_exactly():
@@ -340,7 +357,7 @@ import resource
 import numpy as np
 from peftlab import tensor as T
 from peftlab.model import Batch, ModelConfig, build_model, forward
-from peftlab.optim import OptimizerState, step
+from peftlab.optim import OptimizerState, TrainConfig, step
 from peftlab.peft import PeftConfig, attach
 
 model = build_model(ModelConfig(num_layers=2, hidden_dim=64, num_heads=4,
@@ -349,13 +366,13 @@ model = build_model(ModelConfig(num_layers=2, hidden_dim=64, num_heads=4,
 theta = attach(model, PeftConfig(
     method="lora", rank=4, target_weights=("W_Q", "W_K", "W_V", "W_O", "FFN"),
     target_layers=(1, 2))).theta_tilde()
-opt = OptimizerState.create("adamw", 0.01, theta.length)
+opt = OptimizerState(TrainConfig(optimizer="adamw", lr=0.01), theta.length)
 rng = np.random.default_rng(0)
 batch = Batch(rng.integers(0, 16, size=(32, 4)), rng.integers(0, 2, size=32))
 
 def run(steps):
     for _ in range(steps):
-        model.zero_grads()
+        theta.zero_grads()
         T.backward(T.log_softmax_nll(forward(model, batch), batch.labels))
         step(theta, theta.grad_vector(), None, opt)
 

@@ -195,6 +195,52 @@ def test_grad_vector_zero_fills_missing():
     assert np.all(g == 0.0)
 
 
+def check_grads_bound(theta):
+    """Every view tensor's ``.grad`` is its segment of ``grad_vector()``,
+    and ``zero_grads()`` zeroes that buffer without rebinding any of them."""
+    buf = theta.grad_vector()
+    for name, t in theta.entries:
+        assert np.shares_memory(t.grad, buf), name
+    whole = np.concatenate([t.grad.ravel() for t in theta.tensors()])
+    assert buf.tobytes() == whole.tobytes()
+    theta.zero_grads()
+    assert theta.grad_vector() is buf and not buf.any()
+    for name, t in theta.entries:
+        assert np.shares_memory(t.grad, buf) and not t.grad.any(), name
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_view_gradients_live_in_the_view_buffer(method):
+    m = build_model(SMALL)
+    mod = attach(m, PeftConfig(method=method, rank=2, prefix_len=3))
+    theta = mod.theta_tilde()
+    check_grads_bound(theta)
+    task = generate_task("parity", 32, 1, vocab_size=8, seq_len=6)
+    train(m, mod, None, task, TrainConfig(lr=0.01, epochs=1, batch_size=16))
+    assert theta.grad_vector().any()  # the last step's gradient
+    check_grads_bound(theta)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_backward_accumulates_into_the_view_buffer(method):
+    """Two passes without zeroing leave the sum of their gradients in the
+    buffer the view held before them."""
+    m = build_model(SMALL)
+    theta = attach(m, PeftConfig(method=method, rank=2,
+                                 prefix_len=3)).theta_tilde()
+    batches = [small_batch(seed) for seed in (1, 2)]
+    singles = []
+    for batch in batches:
+        theta.zero_grads()
+        T.backward(T.log_softmax_nll(forward(m, batch), batch.labels))
+        singles.append(theta.grad_vector().copy())
+    buf = theta.grad_vector()
+    theta.zero_grads()
+    for batch in batches:
+        T.backward(T.log_softmax_nll(forward(m, batch), batch.labels))
+    assert buf.tobytes() == (singles[0] + singles[1]).tobytes()
+
+
 # -- identity at init ----------------------------------------------------------
 
 
