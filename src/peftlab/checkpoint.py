@@ -243,24 +243,26 @@ def load_scores(path) -> FisherEstimate:
 def load_checkpoint(path) -> CheckpointState:
     """Rebuild the experiment state a checkpoint describes.
 
-    The embedded config must hash to the stored ``config_hash``. The model
-    is reconstructed from it, adapters re-attached, and every tensor
-    restored bitwise; a truncated payload raises with the name of the first
-    tensor that could not be read.
+    The embedded config must hash to the stored ``config_hash`` before
+    anything is built from it. The model is then reconstructed from it,
+    adapters re-attached, and every tensor restored bitwise; a truncated
+    payload raises with the name of the first tensor that could not be
+    read.
     """
     manifest, payload = _read(path)
     _require(manifest, _MANIFEST_FIELDS, "manifest", path)
 
     try:
         cfg = config_mod.from_dict(manifest["config"])
+        chash = config_mod.config_hash(cfg)
+        if chash != manifest["config_hash"]:
+            raise CheckpointError(f"{path}: manifest config hashes to "
+                                  f"{chash}, not the stored "
+                                  f"{manifest['config_hash']}")
         model = build_model(cfg.model)
         module = attach(model, cfg.peft)
     except ConfigError as e:
         raise CheckpointError(f"{path}: manifest config: {e}") from e
-    chash = config_mod.config_hash(cfg)
-    if chash != manifest["config_hash"]:
-        raise CheckpointError(f"{path}: manifest config hashes to {chash}, "
-                              f"not the stored {manifest['config_hash']}")
 
     live = dict(_named_tensors(model, module))
     unread = set(live)

@@ -1,8 +1,9 @@
 """Parameter-efficient adapter modules and their flat parameter view.
 
-Six methods share one contract: attach to a frozen base model, expose every
-new trainable tensor through :class:`ThetaTilde` (one float32 buffer that
-the tensors are views into, in a deterministic order), and influence the
+Six methods share one contract: attach to a frozen base model, keep every
+tensor they attach in one table keyed by (layer, group, part), expose the
+trainable ones through :class:`ThetaTilde` (one float32 buffer that the
+tensors are views into, in a deterministic order), and influence the
 forward pass only via the model's hook points. The flat view is what
 scoring, masking, and the optimizer operate on, so its ordering is part of
 the persistence format: layer index ascending, then group name
@@ -40,7 +41,7 @@ class PeftConfig:
 
     ``target_layers`` counts from the top: 1 is the layer nearest the output.
     ``lora_alpha`` of None means alpha = 2 * rank; the resulting alpha/rank
-    scaling applies to standard-init low-rank branches only (a spectral init
+    scaling applies to standard-init low-rank factors only (a spectral init
     must reproduce the base weight exactly, so it is left unscaled).
     ``init='pissa'`` (spectral residual init) is supported for lora.
     ``include_gates=False`` keeps UniPELT's gate weights out of the flat
@@ -183,12 +184,14 @@ def _expand_targets(model: TransformerModel, cfg: PeftConfig) \
 
 
 class PeftModule(ForwardHooks):
-    """Base class: owns trainable tensors; :func:`attach` gives their view.
+    """Base class: one table of the tensors a module attaches.
 
-    Subclasses pass one ``(layer, group, part, tensor)`` record per
-    trainable tensor. ``records`` keeps them in the canonical flat order
-    (layer, group lexicographic, part order), and the view's segment names
-    are ``layer{n}/{group}/{part}``.
+    Subclasses pass one ``(layer, group, part, tensor)`` record per tensor
+    they attach, trainable or frozen. ``params`` maps ``(layer, group,
+    part)`` to each tensor in the canonical flat order (layer, group
+    lexicographic, part order); the hooks look their tensors up there, and
+    :func:`attach` gives the module a view of the ones that require grad,
+    under segment names ``layer{n}/{group}/{part}``.
 
     Only the module that :func:`attach` hooks in gets a view. The parts a
     :class:`UniPeltModule` builds live in the composite's view, so
@@ -200,8 +203,9 @@ class PeftModule(ForwardHooks):
     def __init__(self, cfg: PeftConfig,
                  records: list[tuple[int, str, str, Tensor]]):
         self.cfg = cfg
-        self.records = sorted(records,
-                              key=lambda r: (r[0], r[1], _PART_ORDER[r[2]]))
+        self.params: dict[tuple[int, str, str], Tensor] = {
+            (layer, group, part): t for layer, group, part, t in
+            sorted(records, key=lambda r: (r[0], r[1], _PART_ORDER[r[2]]))}
         self._theta = None
 
     def theta_tilde(self) -> ThetaTilde:
@@ -213,49 +217,46 @@ class PeftModule(ForwardHooks):
         return self._theta
 
     def param_count(self) -> int:
-        """Every adapter parameter attached: here, the view's length."""
-        return self.theta_tilde().length
+        """Every adapter parameter attached, in the view or frozen."""
+        return sum(t.size for t in self.params.values())
 
     def trainable_entries(self) -> list[tuple[str, Tensor]]:
         return list(self.theta_tilde().entries)
 
 
-def _low_rank_branches(model: TransformerModel, cfg: PeftConfig,
-                       with_magnitude: bool):
+def _low_rank_records(model: TransformerModel, cfg: PeftConfig,
+                      with_magnitude: bool):
     """Shared (B, A[, m]) construction for the low-rank methods.
 
-    Returns the alpha/rank scale of the branches, each targeted matrix's
-    branch keyed by (layer, name), and the branches' ``(layer, group, part,
-    tensor)`` records.
+    Returns the alpha/rank scale and the ``(layer, group, part, tensor)``
+    records. A spectral init rewrites the targeted base weights to their
+    residuals only once every target has been split, so a failed attach
+    leaves the model as it was.
     """
     scale = cfg.alpha / cfg.rank if cfg.init == "standard" else 1.0
     rng = np.random.default_rng(model.cfg.seed + 1)
-    branches: dict[tuple[int, str], dict[str, Tensor]] = {}
-    records = []
+    records, residuals = [], []
     for li, name in _expand_targets(model, cfg):
         w0 = model.layers[li].weight(name)
-        rows, cols = w0.shape
         if cfg.init == "pissa":
             b, a, res = pissa_init(w0, cfg.rank)
             b.requires_grad = True
             a.requires_grad = True
-            w0.data = res.data
+            residuals.append((w0, res))
         else:
-            if cfg.rank > min(rows, cols):
+            if cfg.rank > min(w0.shape):
                 raise ConfigError(f"rank {cfg.rank} exceeds min dim of "
                                   f"{name} {w0.shape}")
-            b = _zeros(rows, cfg.rank)
-            a = _draw(rng, cfg.rank, cols)
-        branch = {"B": b, "A": a}
-        records.append((li, name, "B", b))
-        records.append((li, name, "A", a))
+            b = _zeros(w0.shape[0], cfg.rank)
+            a = _draw(rng, cfg.rank, w0.shape[1])
+        records += [(li, name, "B", b), (li, name, "A", a)]
         if with_magnitude:
             m = Tensor(T.column_l2_norm(Tensor(w0.data)).data,
                        requires_grad=True)
-            branch["m"] = m
             records.append((li, name, "m", m))
-        branches[(li, name)] = branch
-    return scale, branches, records
+    for w0, res in residuals:
+        w0.data = res.data
+    return scale, records
 
 
 def _plus(h: Tensor, delta: Tensor | None) -> Tensor:
@@ -268,16 +269,16 @@ class LoraModule(PeftModule):
     method = "lora"
 
     def __init__(self, model: TransformerModel, cfg: PeftConfig):
-        self.scale, self.branches, records = _low_rank_branches(
-            model, cfg, with_magnitude=False)
+        self.scale, records = _low_rank_records(model, cfg,
+                                                with_magnitude=False)
         super().__init__(cfg, records)
 
     def delta(self, layer, name, x):
         """scale * (x B) A for the matrix ``name``, or None if untargeted."""
-        branch = self.branches.get((layer, name))
-        if branch is None:
+        b = self.params.get((layer, name, "B"))
+        if b is None:
             return None
-        delta = T.matmul(T.matmul(x, branch["B"]), branch["A"])
+        delta = T.matmul(T.matmul(x, b), self.params[(layer, name, "A")])
         return T.scale(delta, self.scale) if self.scale != 1.0 else delta
 
     def project(self, layer, name, x, w, b):
@@ -291,15 +292,16 @@ class DoraModule(PeftModule):
     method = "dora"
 
     def __init__(self, model: TransformerModel, cfg: PeftConfig):
-        self.scale, self.branches, records = _low_rank_branches(
-            model, cfg, with_magnitude=True)
+        self.scale, records = _low_rank_records(model, cfg,
+                                                with_magnitude=True)
         super().__init__(cfg, records)
 
     def project(self, layer, name, x, w, b):
-        branch = self.branches.get((layer, name))
-        if branch is None:
+        m = self.params.get((layer, name, "m"))
+        if m is None:
             return super().project(layer, name, x, w, b)
-        delta = T.matmul(branch["B"], branch["A"])
+        delta = T.matmul(self.params[(layer, name, "B")],
+                         self.params[(layer, name, "A")])
         if self.scale != 1.0:
             delta = T.scale(delta, self.scale)
         directed = T.add(w, delta)
@@ -310,7 +312,7 @@ class DoraModule(PeftModule):
             raise NumericError(f"layer {layer} {name}: column {col} of the "
                                f"directed weight has zero norm")
         norms = T.column_l2_norm(directed)
-        w_eff = T.hadamard(directed, T.divide(branch["m"], norms))
+        w_eff = T.hadamard(directed, T.divide(m, norms))
         return T.add(T.matmul(x, w_eff), b)
 
 
@@ -322,25 +324,21 @@ class AdapterModule(PeftModule):
     def __init__(self, model: TransformerModel, cfg: PeftConfig):
         rng = np.random.default_rng(model.cfg.seed + 2)
         d = model.cfg.hidden_dim
-        self.blocks: dict[tuple[int, str], dict[str, Tensor]] = {}
         raw = []
         for top in sorted(cfg.target_layers):
             li = model.layer_from_top(top)
             for point in ("adapter_attn", "adapter_ffn"):
-                b = _zeros(d, cfg.rank)
-                a = _draw(rng, cfg.rank, d)
-                self.blocks[(li, point)] = {"B": b, "A": a}
-                raw.append((li, point, "B", b))
-                raw.append((li, point, "A", a))
+                raw.append((li, point, "B", _zeros(d, cfg.rank)))
+                raw.append((li, point, "A", _draw(rng, cfg.rank, d)))
         super().__init__(cfg, raw)
 
     def delta(self, layer, point, h):
         """relu(h A^T) B^T at ``point``, or None if the layer is untargeted."""
-        block = self.blocks.get((layer, point))
-        if block is None:
+        a = self.params.get((layer, point, "A"))
+        if a is None:
             return None
-        return T.matmul(T.relu(T.matmul(h, T.transpose(block["A"]))),
-                        T.transpose(block["B"]))
+        return T.matmul(T.relu(T.matmul(h, T.transpose(a))),
+                        T.transpose(self.params[(layer, point, "B")]))
 
     def after_attn_proj(self, layer, h):
         return _plus(h, self.delta(layer, "adapter_attn", h))
@@ -361,22 +359,19 @@ class PrefixModule(PeftModule):
                               f"budget {POSITION_BUDGET}")
         rng = np.random.default_rng(model.cfg.seed + 3)
         h, dh = model.cfg.num_heads, model.cfg.head_dim
-        self.rows: dict[int, dict[str, Tensor]] = {}
         raw = []
         for top in sorted(cfg.target_layers):
             li = model.layer_from_top(top)
-            p_k = _draw(rng, h, cfg.prefix_len, dh)
-            p_v = _draw(rng, h, cfg.prefix_len, dh)
-            self.rows[li] = {"P_K": p_k, "P_V": p_v}
-            raw.append((li, "prefix", "P_K", p_k))
-            raw.append((li, "prefix", "P_V", p_v))
+            for part in ("P_K", "P_V"):
+                raw.append((li, "prefix", part,
+                            _draw(rng, h, cfg.prefix_len, dh)))
         super().__init__(cfg, raw)
 
     def prefix_kv(self, layer):
-        rows = self.rows.get(layer)
-        if rows is None:
+        p_k = self.params.get((layer, "prefix", "P_K"))
+        if p_k is None:
             return None
-        return rows["P_K"], rows["P_V"], None
+        return p_k, self.params[(layer, "prefix", "P_V")], None
 
 
 class Ia3Module(PeftModule):
@@ -386,39 +381,33 @@ class Ia3Module(PeftModule):
 
     def __init__(self, model: TransformerModel, cfg: PeftConfig):
         d, f = model.cfg.hidden_dim, model.cfg.ffn_dim
-        self.scales: dict[int, dict[str, Tensor]] = {}
         raw = []
         for top in sorted(cfg.target_layers):
             li = model.layer_from_top(top)
-            l_k, l_v, l_ff = _ones(d), _ones(d), _ones(f)
-            self.scales[li] = {"W_K": l_k, "W_V": l_v, "FFN": l_ff}
-            raw.append((li, "W_K", "l", l_k))
-            raw.append((li, "W_V", "l", l_v))
-            raw.append((li, "FFN", "l", l_ff))
+            for group, n in (("W_K", d), ("W_V", d), ("FFN", f)):
+                raw.append((li, group, "l", _ones(n)))
         super().__init__(cfg, raw)
 
     def project(self, layer, name, x, w, b):
         base = super().project(layer, name, x, w, b)
-        scales = self.scales.get(layer)
-        if scales is None or name not in ("W_K", "W_V"):
-            return base
-        return T.hadamard(base, scales[name])
+        # no projection is named FFN: that group scales ffn_inner
+        l_proj = self.params.get((layer, name, "l"))
+        return base if l_proj is None else T.hadamard(base, l_proj)
 
     def ffn_inner(self, layer, h):
-        scales = self.scales.get(layer)
-        if scales is None:
-            return h
-        return T.hadamard(h, scales["FFN"])
+        l_ff = self.params.get((layer, "FFN", "l"))
+        return h if l_ff is None else T.hadamard(h, l_ff)
 
 
 class UniPeltModule(PeftModule):
     """Gated combination of the lora, adapter, and prefix submodules.
 
     Each targeted layer holds one scalar gate per submodule: the sigmoid of
-    the mean-pooled layer input through a learned [d, 1] map. ``begin_layer``
-    computes a layer's gates; the other hooks scale each submodule's
-    contribution by its gate (for the prefix, its un-normalized attention
-    weight columns). The submodules hold no reference to this module.
+    the mean-pooled layer input through a learned [d, 1] map, attached as
+    part ``w`` of group ``gate_{submodule}``. ``begin_layer`` computes a
+    layer's gates; the other hooks scale each submodule's contribution by
+    its gate (for the prefix, its un-normalized attention weight columns).
+    The submodules hold no reference to this module.
 
     The composite's view is the only buffer behind the submodules' tensors:
     only the attached module gets a view (see :class:`PeftModule`). No code
@@ -431,11 +420,11 @@ class UniPeltModule(PeftModule):
         rng = np.random.default_rng(model.cfg.seed + 4)
         d = model.cfg.hidden_dim
         self._gates: dict[tuple[int, str], Tensor] = {}
-        self.gate_weights: dict[tuple[int, str], Tensor] = {}
         self.submodules: dict[str, PeftModule] = {
             name: _MODULE_CLASSES[name](model, cfg)
             for name in UNIPELT_SUBMODULES if name in cfg.unipelt_submodules}
-        raw = [r for sub in self.submodules.values() for r in sub.records]
+        raw = [(*key, t) for sub in self.submodules.values()
+               for key, t in sub.params.items()]
         for top in sorted(cfg.target_layers):
             li = model.layer_from_top(top)
             for name in sorted(self.submodules):
@@ -443,21 +432,12 @@ class UniPeltModule(PeftModule):
                 # gates left out of the view are never stepped, so they
                 # take no gradient either
                 wg.requires_grad = cfg.include_gates
-                self.gate_weights[(li, name)] = wg
-                if cfg.include_gates:
-                    raw.append((li, f"gate_{name}", "w", wg))
+                raw.append((li, f"gate_{name}", "w", wg))
         super().__init__(cfg, raw)
-
-    def param_count(self) -> int:
-        """The view plus any gate weights left out of it: attached all
-        the same."""
-        frozen = 0 if self.cfg.include_gates else \
-            sum(wg.size for wg in self.gate_weights.values())
-        return super().param_count() + frozen
 
     def begin_layer(self, layer, x):
         for name in self.submodules:
-            wg = self.gate_weights.get((layer, name))
+            wg = self.params.get((layer, f"gate_{name}", "w"))
             if wg is None:
                 continue
             self._gates[(layer, name)] = T.sigmoid(
@@ -514,7 +494,8 @@ def attach(model: TransformerModel, cfg: PeftConfig) -> PeftModule:
         model.layer_from_top(t)  # bounds check against this model
     module = _MODULE_CLASSES[cfg.method](model, cfg)
     module._theta = ThetaTilde([(f"layer{layer}/{group}/{part}", t)
-                                for layer, group, part, t in module.records])
+                                for (layer, group, part), t
+                                in module.params.items() if t.requires_grad])
     model.freeze_base()
     model.peft = module
     return module

@@ -9,12 +9,14 @@ import struct
 import numpy as np
 import pytest
 
+from peftlab import checkpoint
 from peftlab import tensor as T
 from peftlab.checkpoint import (FORMAT_VERSION, atomic_write_bytes,
                                 load_checkpoint, load_mask, load_scores,
                                 save_checkpoint, save_scores)
 from peftlab.cli import cli
-from peftlab.config import ExperimentConfig, MaskConfig, TaskConfig
+from peftlab.config import (ExperimentConfig, MaskConfig, TaskConfig,
+                            config_hash, from_dict)
 from peftlab.errors import CheckpointError
 from peftlab.fisher import FisherEstimate, select
 from peftlab.model import Batch, ModelConfig, build_model, forward
@@ -163,6 +165,21 @@ def rewrite_manifest(tmp_path, name, edit, save=None):
 ])
 def test_config_that_does_not_match_its_hash_is_rejected(tmp_path, edit):
     hacked = rewrite_manifest(tmp_path, "rehashed.bin", edit)
+    with pytest.raises(CheckpointError, match="manifest config hashes to"):
+        load_checkpoint(hacked)
+
+
+def test_tampered_config_is_refused_before_it_is_built(tmp_path,
+                                                      monkeypatch):
+    def grow(manifest):
+        manifest["config"]["model"].update(hidden_dim=512, ffn_dim=2048)
+
+    hacked = rewrite_manifest(tmp_path, "grown.bin", grow)
+
+    def no_build(cfg):
+        raise AssertionError("built a model from an unchecked config")
+
+    monkeypatch.setattr(checkpoint, "build_model", no_build)
     with pytest.raises(CheckpointError, match="manifest config hashes to"):
         load_checkpoint(hacked)
 
@@ -336,8 +353,13 @@ def test_eval_of_manifest_without_config_exits_2(tmp_path, capsys):
 ])
 def test_eval_of_manifest_with_a_bad_config_exits_2(tmp_path, capsys, section,
                                                    key, value, message):
+    """A config that does not parse, and one that parses and hashes to its
+    stored hash but does not build, each report their own error."""
     def edit(manifest):
         manifest["config"][section][key] = value
+        if section == "peft":  # parses: make its stored hash consistent
+            manifest["config_hash"] = config_hash(
+                from_dict(manifest["config"]))
 
     hacked = rewrite_manifest(tmp_path, "badconfig.bin", edit)
     with pytest.raises(CheckpointError, match=message) as info:

@@ -203,7 +203,8 @@ def test_ratio1_counts_unipelt_gates_left_out_of_the_view():
     model = build_model(ModelConfig())
     module = attach(model, PeftConfig(method="unipelt", rank=2, prefix_len=3,
                                       include_gates=False))
-    gates = sum(wg.size for wg in module.gate_weights.values())
+    gates = sum(t.size for (_, group, _), t in module.params.items()
+                if group.startswith("gate_"))
     length = module.theta_tilde().length
     assert (model.param_count(), length, gates) == (17922, 832, 96)
     assert module.param_count() == length + gates

@@ -5,6 +5,8 @@ import dataclasses
 import re
 from pathlib import Path
 
+import pytest
+
 import peftlab
 
 from helpers import run_fresh
@@ -70,3 +72,15 @@ def test_benchmark_harness_binds_to_the_package(monkeypatch):
                          dataclasses.replace(cfg.train, epochs=1))
     # the check SweepUnipelt._check_cell makes on every reloaded cell
     assert report.final_eval_loss == optim.evaluate(m, held_out)[0]
+
+
+@pytest.mark.parametrize("name", ["TrainLoraSparse", "SweepUnipelt"])
+def test_benchmark_workload_passes_its_own_check(monkeypatch, tmp_path, name):
+    """One operation of each benchmarked workload, checked as a benchmark
+    run checks it: the training curve against its recorded reference, and
+    every sweep cell's artifacts reloaded."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    wl = getattr(workloads, name)(0, tmp_path)
+    assert wl.check(wl.operation(0, workloads.Timer())) == []

@@ -11,7 +11,7 @@ from peftlab import tensor as T
 from peftlab.errors import ConfigError, ContractError
 from peftlab.model import Batch, ModelConfig, build_model, forward
 from peftlab.optim import TrainConfig, train
-from peftlab.peft import METHODS, PeftConfig, attach, pissa_init
+from peftlab.peft import METHODS, PeftConfig, PeftModule, attach, pissa_init
 from peftlab.tasks import generate_task
 
 from helpers import finite_diff_grad, grad_close
@@ -103,6 +103,53 @@ def test_unipelt_theta_contains_all_groups_in_order():
     assert all("gate" not in s.name for s in mod2.theta_tilde().segments)
 
 
+PINNED_CFG = dict(rank=2, prefix_len=3, target_weights=("W_V", "W_Q"),
+                  target_layers=(1, 2))
+
+
+@pytest.mark.parametrize("method, per_layer", [
+    ("dora", ["W_Q/B", "W_Q/A", "W_Q/m", "W_V/B", "W_V/A", "W_V/m"]),
+    ("adapter", ["adapter_attn/B", "adapter_attn/A",
+                 "adapter_ffn/B", "adapter_ffn/A"]),
+    ("prefix", ["prefix/P_K", "prefix/P_V"]),
+    ("ia3", ["FFN/l", "W_K/l", "W_V/l"]),
+])
+def test_theta_names_of_each_method(method, per_layer):
+    mod = attach(build_model(CFG32), PeftConfig(method=method, **PINNED_CFG))
+    names = [s.name for s in mod.theta_tilde().segments]
+    assert names == [f"layer{li}/{name}" for li in (0, 1)
+                     for name in per_layer]
+
+
+def attached_tensors(obj, seen):
+    """Every tensor reachable from a module's attributes, its parts' too."""
+    if isinstance(obj, T.Tensor):
+        seen.setdefault(id(obj), obj)
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            attached_tensors(v, seen)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            attached_tensors(v, seen)
+    elif isinstance(obj, PeftModule):
+        for name, v in vars(obj).items():
+            if name != "_theta":
+                attached_tensors(v, seen)
+    return seen
+
+
+@pytest.mark.parametrize("cfg", [
+    *(PeftConfig(method=method, **PINNED_CFG) for method in METHODS),
+    PeftConfig(method="unipelt", include_gates=False, **PINNED_CFG),
+], ids=[*METHODS, "unipelt-no-gates"])
+def test_param_count_sums_every_attached_tensor(cfg):
+    mod = attach(build_model(CFG32), cfg)
+    tensors = attached_tensors(mod, {}).values()
+    assert mod.param_count() == sum(t.size for t in tensors)
+    in_view = {id(t) for t in mod.theta_tilde().tensors()}
+    assert {id(t) for t in tensors if t.requires_grad} == in_view
+
+
 def test_unipelt_composite_view_is_the_only_buffer():
     m = build_model(SMALL)
     mod = attach(m, PeftConfig(method="unipelt", rank=2, prefix_len=3))
@@ -113,7 +160,7 @@ def test_unipelt_composite_view_is_the_only_buffer():
     for name, sub in mod.submodules.items():
         with pytest.raises(ContractError, match=name):
             sub.theta_tilde()
-        for layer, group, part, t in sub.records:
+        for (layer, group, part), t in sub.params.items():
             seg = segment_of[id(t)]
             assert np.shares_memory(t.data, theta.data), (name, group, part)
             assert t.data.tobytes() == vec[seg.start:seg.stop].tobytes()
@@ -141,8 +188,10 @@ def test_gate_weights_left_out_of_the_view_take_no_gradient():
                                include_gates=False))
     task = generate_task("parity", 32, 1, vocab_size=8, seq_len=6)
     train(m, mod, None, task, TrainConfig(lr=0.01, epochs=2, batch_size=16))
-    assert mod.gate_weights
-    assert all(wg.grad is None for wg in mod.gate_weights.values())
+    gates = [t for (_, group, _), t in mod.params.items()
+             if group.startswith("gate_")]
+    assert gates and all(not wg.requires_grad for wg in gates)
+    assert all(wg.grad is None for wg in gates)
 
 
 def test_target_layers_count_from_top():
@@ -282,8 +331,9 @@ def test_prefix_suppressed_limit_matches_base():
         lp.b_Q.data[:] = 1.0
     mod = attach(m, PeftConfig(method="prefix", prefix_len=4,
                                target_layers=(1, 2)))
-    for rows in mod.rows.values():
-        rows["P_K"].data[:] = -1e6
+    for (_, _, part), t in mod.params.items():
+        if part == "P_K":
+            t.data[:] = -1e6
     assert np.max(np.abs(logits_of(m, batch) - base)) < 1e-4
 
 
@@ -299,10 +349,9 @@ def test_unipelt_gate_limits():
     def constant_gates(value):
         """A begin_layer that installs one constant [b, 1] gate per part."""
         def begin_layer(layer, x):
-            for key in mod.gate_weights:
-                if key[0] == layer:
-                    mod._gates[key] = T.Tensor(
-                        np.full((x.shape[0], 1), value, dtype=np.float32))
+            for name in mod.submodules:
+                mod._gates[(layer, name)] = T.Tensor(
+                    np.full((x.shape[0], 1), value, dtype=np.float32))
         return begin_layer
 
     mod.begin_layer = constant_gates(0.0)
@@ -377,6 +426,26 @@ def test_pissa_attach_reproduces_base_and_mutates_weight():
                          target_weights=("W_Q",), target_layers=(1,)))
     assert m.layers[1].W_Q.data.tobytes() != w_before.tobytes()
     assert np.max(np.abs(logits_of(m, batch) - base)) < 1e-4
+
+
+def test_failed_pissa_attach_leaves_the_base_weights_alone():
+    """W_Q splits at rank 20, then FFN1 (32 x 16) cannot: no base weight
+    may have been rewritten to its residual by then."""
+    mc = ModelConfig(hidden_dim=32, ffn_dim=16)
+    cfg = PeftConfig(method="lora", init="pissa", rank=20,
+                     target_weights=("W_Q", "FFN"), target_layers=(1,))
+    m = build_model(mc)
+    with pytest.raises(ConfigError, match="rank 20 outside"):
+        attach(m, cfg)
+    assert m.peft is None
+    fresh = build_model(mc).named_parameters()
+    for (name, t), (_, want) in zip(m.named_parameters(), fresh):
+        assert t.data.tobytes() == want.data.tobytes(), name
+
+    retry = dataclasses.replace(cfg, rank=8)
+    view = attach(m, retry).theta_tilde().to_vector()
+    want = attach(build_model(mc), retry).theta_tilde().to_vector()
+    assert view.tobytes() == want.tobytes()
 
 
 # -- attachment contracts --------------------------------------------------------
