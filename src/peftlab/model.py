@@ -4,10 +4,12 @@ Small enough for finite-difference checks, structured like the real thing:
 learned token + position embeddings, post-norm residual blocks with
 multi-head attention and a relu FFN, mean-pool + linear head. Everything is
 built from seeded draws so identical (config, seed) pairs give bitwise
-identical weights.
+identical weights. The model's tensors live in one table,
+``TransformerModel.params``, keyed by their checkpoint names.
 
-Adapter-style modules influence the forward pass only through the
-:class:`ForwardHooks` interface; the base model never imports them.
+Adapter-style modules influence the forward pass only through the three
+:class:`ForwardHooks` points (``begin_layer``, ``project``, ``prefix_kv``);
+the base model never imports them.
 """
 
 from __future__ import annotations
@@ -75,10 +77,13 @@ class Batch:
 
 
 class ForwardHooks:
-    """Injection points for adapter modules; defaults are the base model.
+    """Injection points for adapter modules; the defaults are the base model.
 
-    ``name`` is one of W_Q, W_K, W_V, W_O, FFN1, FFN2. ``layer`` is the
-    absolute (bottom-up) layer index.
+    ``project`` computes every projection ``x @ w + b``: ``name`` is one of
+    W_Q, W_K, W_V, W_O, FFN1, FFN2, and FFN2's input ``x`` is the relu'd
+    FFN inner activation, so a module that rescales that activation or adds
+    a block after a sublayer's output projection does it here. ``layer`` is
+    the absolute (bottom-up) layer index.
     """
 
     def begin_layer(self, layer: int, x: Tensor) -> None:
@@ -96,83 +101,46 @@ class ForwardHooks:
         """
         return None
 
-    def after_attn_proj(self, layer: int, h: Tensor) -> Tensor:
-        return h
-
-    def ffn_inner(self, layer: int, h: Tensor) -> Tensor:
-        return h
-
-    def after_ffn_proj(self, layer: int, h: Tensor) -> Tensor:
-        return h
-
 
 _BASE_HOOKS = ForwardHooks()
 
-_LAYER_WEIGHT_SHAPES = ("W_Q", "W_K", "W_V", "W_O", "FFN1", "FFN2")
 
-
-@dataclass
-class LayerParams:
-    W_Q: Tensor
-    b_Q: Tensor
-    W_K: Tensor
-    b_K: Tensor
-    W_V: Tensor
-    b_V: Tensor
-    W_O: Tensor
-    b_O: Tensor
-    FFN1: Tensor
-    b_FFN1: Tensor
-    FFN2: Tensor
-    b_FFN2: Tensor
-    ln1_g: Tensor
-    ln1_b: Tensor
-    ln2_g: Tensor
-    ln2_b: Tensor
-
-    def weight(self, name: str) -> Tensor:
-        return getattr(self, name)
-
-    def bias(self, name: str) -> Tensor:
-        return getattr(self, "b_" + name.removeprefix("W_"))
+def _bias(name: str) -> str:
+    """The bias paired with projection ``name``: b_Q for W_Q, b_FFN1 for
+    FFN1."""
+    return "b_" + name.removeprefix("W_")
 
 
 @dataclass
 class TransformerModel:
+    """``params`` holds every base and head tensor under its checkpoint
+    name (``embedding``, ``layer0/W_Q``, ``layer0/b_Q``, ..., ``head/b``),
+    in the order :func:`build_model` draws them; that is also the order of
+    the checkpoint's tensors."""
+
     cfg: ModelConfig
-    embedding: Tensor
-    pos_embedding: Tensor
-    layers: list[LayerParams]
-    head_W: Tensor
-    head_b: Tensor
+    params: dict[str, Tensor]
     peft: object | None = field(default=None, repr=False)
 
     # -- parameter bookkeeping ------------------------------------------------
 
+    @property
+    def head_W(self) -> Tensor:
+        return self.params["head/W"]
+
+    @property
+    def head_b(self) -> Tensor:
+        return self.params["head/b"]
+
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = [("embedding", self.embedding), ("pos_embedding", self.pos_embedding)]
-        for i, lp in enumerate(self.layers):
-            for name in _LAYER_WEIGHT_SHAPES:
-                out.append((f"layer{i}/{name}", lp.weight(name)))
-                out.append((f"layer{i}/b_{name.removeprefix('W_')}", lp.bias(name)))
-            out.append((f"layer{i}/ln1_g", lp.ln1_g))
-            out.append((f"layer{i}/ln1_b", lp.ln1_b))
-            out.append((f"layer{i}/ln2_g", lp.ln2_g))
-            out.append((f"layer{i}/ln2_b", lp.ln2_b))
-        out.append(("head/W", self.head_W))
-        out.append(("head/b", self.head_b))
-        return out
+        return list(self.params.items())
 
     def head_parameters(self) -> list[tuple[str, Tensor]]:
         return [("head/W", self.head_W), ("head/b", self.head_b)]
 
-    def base_parameters(self) -> list[tuple[str, Tensor]]:
-        return [(n, t) for n, t in self.named_parameters()
-                if not n.startswith("head/")]
-
     def param_count(self) -> int:
         """Total scalar count of the base model plus head (no adapters)."""
-        return sum(t.size for _, t in self.named_parameters())
+        return sum(t.size for t in self.params.values())
 
     def layer_from_top(self, top_index: int) -> int:
         """Map a 1-based from-the-top index to the absolute layer index."""
@@ -182,9 +150,11 @@ class TransformerModel:
         return self.cfg.num_layers - top_index
 
     def freeze_base(self) -> None:
-        for _, t in self.base_parameters():
-            t.requires_grad = False
-            t.grad = None
+        """Stop gradients to every tensor but the head's."""
+        for name, t in self.params.items():
+            if not name.startswith("head/"):
+                t.requires_grad = False
+                t.grad = None
 
     # -- objectives -----------------------------------------------------------
 
@@ -214,26 +184,24 @@ def _ones(*shape) -> Tensor:
 
 
 def build_model(cfg: ModelConfig) -> TransformerModel:
-    """Seeded construction: weights ~ N(0, 0.02^2), biases zero, norms unit."""
+    """Seeded construction: weights ~ N(0, 0.02^2), biases zero, norms unit.
+    The weights are drawn in ``params`` order from one generator."""
     rng = np.random.default_rng(cfg.seed)
     d, f = cfg.hidden_dim, cfg.ffn_dim
-    embedding = _draw(rng, cfg.vocab_size, d)
-    pos_embedding = _draw(rng, cfg.max_seq_len, d)
-    layers = []
-    for _ in range(cfg.num_layers):
-        layers.append(LayerParams(
-            W_Q=_draw(rng, d, d), b_Q=_zeros(d),
-            W_K=_draw(rng, d, d), b_K=_zeros(d),
-            W_V=_draw(rng, d, d), b_V=_zeros(d),
-            W_O=_draw(rng, d, d), b_O=_zeros(d),
-            FFN1=_draw(rng, d, f), b_FFN1=_zeros(f),
-            FFN2=_draw(rng, f, d), b_FFN2=_zeros(d),
-            ln1_g=_ones(d), ln1_b=_zeros(d),
-            ln2_g=_ones(d), ln2_b=_zeros(d),
-        ))
-    head_W = _draw(rng, d, cfg.num_classes)
-    head_b = _zeros(cfg.num_classes)
-    return TransformerModel(cfg, embedding, pos_embedding, layers, head_W, head_b)
+    shapes = {"W_Q": (d, d), "W_K": (d, d), "W_V": (d, d), "W_O": (d, d),
+              "FFN1": (d, f), "FFN2": (f, d)}
+    params = {"embedding": _draw(rng, cfg.vocab_size, d),
+              "pos_embedding": _draw(rng, cfg.max_seq_len, d)}
+    for li in range(cfg.num_layers):
+        for name, shape in shapes.items():
+            params[f"layer{li}/{name}"] = _draw(rng, *shape)
+            params[f"layer{li}/{_bias(name)}"] = _zeros(shape[1])
+        for norm in ("ln1", "ln2"):
+            params[f"layer{li}/{norm}_g"] = _ones(d)
+            params[f"layer{li}/{norm}_b"] = _zeros(d)
+    params["head/W"] = _draw(rng, d, cfg.num_classes)
+    params["head/b"] = _zeros(cfg.num_classes)
+    return TransformerModel(cfg, params)
 
 
 def _split_heads(x: Tensor, num_heads: int) -> Tensor:
@@ -283,6 +251,8 @@ def forward(model: TransformerModel, batch: Batch) -> Tensor:
     cfg = model.cfg
     ids = batch.token_ids
     b, s = ids.shape
+    if not ids.size:
+        raise ContractError(f"forward on an empty batch of shape {ids.shape}")
     if s > cfg.max_seq_len:
         raise ContractError(f"sequence length {s} exceeds max_seq_len "
                             f"{cfg.max_seq_len}")
@@ -290,16 +260,19 @@ def forward(model: TransformerModel, batch: Batch) -> Tensor:
         raise ContractError(f"token id {int(ids.max())} outside vocab "
                             f"size {cfg.vocab_size}")
     hooks: ForwardHooks = model.peft if model.peft is not None else _BASE_HOOKS
+    p = model.params
 
-    x = T.add(T.embedding(model.embedding, ids),
-              T.slice_axis(model.pos_embedding, 0, 0, s))
+    x = T.add(T.embedding(p["embedding"], ids),
+              T.slice_axis(p["pos_embedding"], 0, 0, s))
 
     inv_sqrt = 1.0 / math.sqrt(cfg.head_dim)
-    for li, lp in enumerate(model.layers):
+    for li in range(cfg.num_layers):
+        def project(name: str, inp: Tensor) -> Tensor:
+            return hooks.project(li, name, inp, p[f"layer{li}/{name}"],
+                                 p[f"layer{li}/{_bias(name)}"])
+
         hooks.begin_layer(li, x)
-        q = hooks.project(li, "W_Q", x, lp.W_Q, lp.b_Q)
-        k = hooks.project(li, "W_K", x, lp.W_K, lp.b_K)
-        v = hooks.project(li, "W_V", x, lp.W_V, lp.b_V)
+        q, k, v = project("W_Q", x), project("W_K", x), project("W_V", x)
         qh = _split_heads(q, cfg.num_heads)
         kh = _split_heads(k, cfg.num_heads)
         vh = _split_heads(v, cfg.num_heads)
@@ -321,18 +294,15 @@ def forward(model: TransformerModel, batch: Batch) -> Tensor:
             weights = T.softmax(scores)
         ctx = _merge_heads(T.matmul(weights, vh))
 
-        attn_out = hooks.project(li, "W_O", ctx, lp.W_O, lp.b_O)
-        attn_out = hooks.after_attn_proj(li, attn_out)
-        x = T.layer_norm(T.add(x, attn_out), lp.ln1_g, lp.ln1_b)
+        x = T.layer_norm(T.add(x, project("W_O", ctx)),
+                         p[f"layer{li}/ln1_g"], p[f"layer{li}/ln1_b"])
 
         # relu keeps its kink at the small activation scale the 0.02 init
         # produces; a smooth activation is near-linear there and starves
         # sign-dependent tasks (parity) of gradient signal.
-        inner = T.relu(hooks.project(li, "FFN1", x, lp.FFN1, lp.b_FFN1))
-        inner = hooks.ffn_inner(li, inner)
-        ffn_out = hooks.project(li, "FFN2", inner, lp.FFN2, lp.b_FFN2)
-        ffn_out = hooks.after_ffn_proj(li, ffn_out)
-        x = T.layer_norm(T.add(x, ffn_out), lp.ln2_g, lp.ln2_b)
+        inner = T.relu(project("FFN1", x))
+        x = T.layer_norm(T.add(x, project("FFN2", inner)),
+                         p[f"layer{li}/ln2_g"], p[f"layer{li}/ln2_b"])
 
     pooled = T.mean_axis(x, 1)
-    return T.add(T.matmul(pooled, model.head_W), model.head_b)
+    return T.add(T.matmul(pooled, p["head/W"]), p["head/b"])

@@ -4,11 +4,12 @@ Six methods share one contract: attach to a frozen base model, keep every
 tensor they attach in one table keyed by (layer, group, part), expose the
 trainable ones through :class:`ThetaTilde` (one float32 buffer that the
 tensors are views into, in a deterministic order), and influence the
-forward pass only via the model's hook points. The flat view is what
-scoring, masking, and the optimizer operate on, so its ordering is part of
-the persistence format: layer index ascending, then group name
-lexicographic, then the method's part order (B before A before m; P_K
-before P_V), row-major within a tensor.
+forward pass only via the model's three hook points: ``begin_layer``,
+``project`` and ``prefix_kv``. The flat view is what scoring, masking, and
+the optimizer operate on, so its ordering is part of the persistence
+format: layer index ascending, then group name lexicographic, then the
+method's part order (B before A before m; P_K before P_V), row-major within
+a tensor.
 
 UniPELT gates the lora, adapter and prefix modules it combines. The gating
 lives in :class:`UniPeltModule` alone: its parts expose their ungated
@@ -237,7 +238,7 @@ def _low_rank_records(model: TransformerModel, cfg: PeftConfig,
     rng = np.random.default_rng(model.cfg.seed + 1)
     records, residuals = [], []
     for li, name in _expand_targets(model, cfg):
-        w0 = model.layers[li].weight(name)
+        w0 = model.params[f"layer{li}/{name}"]
         if cfg.init == "pissa":
             b, a, res = pissa_init(w0, cfg.rank)
             b.requires_grad = True
@@ -316,8 +317,14 @@ class DoraModule(PeftModule):
         return T.add(T.matmul(x, w_eff), b)
 
 
+# the projection each adapter block follows
+_ADAPTER_POINTS = {"W_O": "adapter_attn", "FFN2": "adapter_ffn"}
+
+
 class AdapterModule(PeftModule):
-    """Bottleneck residual blocks after the attention and FFN projections."""
+    """Bottleneck residual blocks on the output of the attention sublayer's
+    W_O and the FFN's FFN2: ``project`` returns h + relu(h A^T) B^T, where
+    h is the projection's output."""
 
     method = "adapter"
 
@@ -327,24 +334,24 @@ class AdapterModule(PeftModule):
         raw = []
         for top in sorted(cfg.target_layers):
             li = model.layer_from_top(top)
-            for point in ("adapter_attn", "adapter_ffn"):
+            for point in _ADAPTER_POINTS.values():
                 raw.append((li, point, "B", _zeros(d, cfg.rank)))
                 raw.append((li, point, "A", _draw(rng, cfg.rank, d)))
         super().__init__(cfg, raw)
 
-    def delta(self, layer, point, h):
-        """relu(h A^T) B^T at ``point``, or None if the layer is untargeted."""
+    def delta(self, layer, name, h):
+        """relu(h A^T) B^T on the output h of projection ``name``, or None
+        if no block follows it."""
+        point = _ADAPTER_POINTS.get(name)
         a = self.params.get((layer, point, "A"))
         if a is None:
             return None
         return T.matmul(T.relu(T.matmul(h, T.transpose(a))),
                         T.transpose(self.params[(layer, point, "B")]))
 
-    def after_attn_proj(self, layer, h):
-        return _plus(h, self.delta(layer, "adapter_attn", h))
-
-    def after_ffn_proj(self, layer, h):
-        return _plus(h, self.delta(layer, "adapter_ffn", h))
+    def project(self, layer, name, x, w, b):
+        h = super().project(layer, name, x, w, b)
+        return _plus(h, self.delta(layer, name, h))
 
 
 class PrefixModule(PeftModule):
@@ -375,7 +382,11 @@ class PrefixModule(PeftModule):
 
 
 class Ia3Module(PeftModule):
-    """Learned rescaling of keys, values, and the FFN inner activation."""
+    """Learned rescaling of keys, values, and the FFN inner activation.
+
+    The W_K and W_V groups scale those projections' outputs; the FFN group
+    scales FFN2's input, which is the relu'd inner activation.
+    """
 
     method = "ia3"
 
@@ -389,14 +400,13 @@ class Ia3Module(PeftModule):
         super().__init__(cfg, raw)
 
     def project(self, layer, name, x, w, b):
+        l_in = self.params.get((layer, "FFN", "l")) if name == "FFN2" else None
+        if l_in is not None:
+            x = T.hadamard(x, l_in)
         base = super().project(layer, name, x, w, b)
-        # no projection is named FFN: that group scales ffn_inner
-        l_proj = self.params.get((layer, name, "l"))
-        return base if l_proj is None else T.hadamard(base, l_proj)
-
-    def ffn_inner(self, layer, h):
-        l_ff = self.params.get((layer, "FFN", "l"))
-        return h if l_ff is None else T.hadamard(h, l_ff)
+        # no projection is named FFN, so this finds only W_K's and W_V's
+        l_out = self.params.get((layer, name, "l"))
+        return base if l_out is None else T.hadamard(base, l_out)
 
 
 class UniPeltModule(PeftModule):
@@ -405,9 +415,9 @@ class UniPeltModule(PeftModule):
     Each targeted layer holds one scalar gate per submodule: the sigmoid of
     the mean-pooled layer input through a learned [d, 1] map, attached as
     part ``w`` of group ``gate_{submodule}``. ``begin_layer`` computes a
-    layer's gates; the other hooks scale each submodule's contribution by
-    its gate (for the prefix, its un-normalized attention weight columns).
-    The submodules hold no reference to this module.
+    layer's gates; ``project`` and ``prefix_kv`` scale each submodule's
+    contribution by its gate (for the prefix, its un-normalized attention
+    weight columns). The submodules hold no reference to this module.
 
     The composite's view is the only buffer behind the submodules' tensors:
     only the attached module gets a view (see :class:`PeftModule`). No code
@@ -443,10 +453,10 @@ class UniPeltModule(PeftModule):
             self._gates[(layer, name)] = T.sigmoid(
                 T.matmul(T.mean_axis(x, 1), wg))
 
-    def _plus_gated(self, part, layer, where, x, h):
-        """h + gate * (part's delta at ``where`` from input x)."""
+    def _plus_gated(self, part, layer, name, x, h):
+        """h + gate * (part's delta at projection ``name`` from input x)."""
         sub = self.submodules.get(part)
-        delta = sub.delta(layer, where, x) if sub is not None else None
+        delta = sub.delta(layer, name, x) if sub is not None else None
         if delta is None:
             return h
         gate = self._gates[(layer, part)]
@@ -455,13 +465,8 @@ class UniPeltModule(PeftModule):
 
     def project(self, layer, name, x, w, b):
         base = super().project(layer, name, x, w, b)
-        return self._plus_gated("lora", layer, name, x, base)
-
-    def after_attn_proj(self, layer, h):
-        return self._plus_gated("adapter", layer, "adapter_attn", h, h)
-
-    def after_ffn_proj(self, layer, h):
-        return self._plus_gated("adapter", layer, "adapter_ffn", h, h)
+        h = self._plus_gated("lora", layer, name, x, base)
+        return self._plus_gated("adapter", layer, name, h, h)
 
     def prefix_kv(self, layer):
         sub = self.submodules.get("prefix")

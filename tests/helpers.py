@@ -99,6 +99,12 @@ def example_nll(model, row, label):
     return T.log_softmax_nll(forward(model, batch), batch.labels, "sum")
 
 
+def base_tensors(model) -> dict:
+    """The model's tensors other than the head's, by name: the ones
+    attaching an adapter freezes."""
+    return {n: t for n, t in model.params.items() if not n.startswith("head/")}
+
+
 def run_fresh(script: str) -> subprocess.CompletedProcess:
     """Run ``script`` in a new interpreter that imports this peftlab."""
     src = str(Path(T.__file__).resolve().parents[1])

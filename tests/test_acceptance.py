@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import check_grads, example_nll, random_inputs
+from helpers import base_tensors, check_grads, example_nll, random_inputs
 from peftlab import tensor as T
 from peftlab.checkpoint import (atomic_write_text, load_checkpoint, load_mask,
                                 load_scores, save_checkpoint, save_mask,
@@ -339,7 +339,7 @@ def test_criterion_4_masked_immutability():
         est = estimate_fisher(model, task[0], num_samples=16)
         init_vec = module.theta_tilde().to_vector()
         base_bytes = {name: t.data.tobytes()
-                      for name, t in model.base_parameters()}
+                      for name, t in base_tensors(model).items()}
 
         for strategy in ("fish", "random", "reverse"):
             for budget in (0.01, 0.25, 0.5):
@@ -354,7 +354,7 @@ def test_criterion_4_masked_immutability():
                 frozen = mask.bits == 0
                 assert after[frozen].tobytes() == init_vec[frozen].tobytes(), \
                     (method, strategy, budget)
-                for name, t in model.base_parameters():
+                for name, t in base_tensors(model).items():
                     assert t.data.tobytes() == base_bytes[name], \
                         (method, strategy, budget, name)
                 combos += 1

@@ -8,7 +8,7 @@ from peftlab.errors import ConfigError, ContractError, ShapeError
 from peftlab.model import Batch, ModelConfig, build_model, forward
 from peftlab.tasks import generate_task
 
-from helpers import finite_diff_grad, grad_close
+from helpers import base_tensors, finite_diff_grad, grad_close
 
 SMALL = ModelConfig(num_layers=1, hidden_dim=8, num_heads=2, ffn_dim=16,
                     vocab_size=8, max_seq_len=6, num_classes=2, seed=3)
@@ -30,7 +30,30 @@ def test_build_is_bitwise_deterministic():
         assert na == nb
         assert ta.data.tobytes() == tb.data.tobytes(), na
     c = build_model(ModelConfig(seed=43))
-    assert c.embedding.data.tobytes() != a.embedding.data.tobytes()
+    assert (c.params["embedding"].data.tobytes()
+            != a.params["embedding"].data.tobytes())
+
+
+def test_params_are_drawn_in_checkpoint_order():
+    """The table's order is the checkpoint's tensor order, and build_model
+    draws every weight from one generator in that order."""
+    m = build_model(SMALL)
+    layer = ("W_Q", "b_Q", "W_K", "b_K", "W_V", "b_V", "W_O", "b_O",
+             "FFN1", "b_FFN1", "FFN2", "b_FFN2",
+             "ln1_g", "ln1_b", "ln2_g", "ln2_b")
+    assert [n for n, _ in m.named_parameters()] == [
+        "embedding", "pos_embedding", *(f"layer0/{n}" for n in layer),
+        "head/W", "head/b"]
+    rng = np.random.default_rng(SMALL.seed)
+    for name, t in m.named_parameters():
+        leaf = name.rsplit("/", 1)[-1]
+        if leaf.endswith("_g"):
+            want = np.ones(t.shape, dtype=np.float32)
+        elif leaf.startswith("b_") or leaf.endswith("_b") or name == "head/b":
+            want = np.zeros(t.shape, dtype=np.float32)
+        else:
+            want = rng.normal(0.0, 0.02, t.shape).astype(np.float32)
+        assert t.data.tobytes() == want.tobytes(), name
 
 
 def test_param_count_matches_closed_form():
@@ -60,6 +83,13 @@ def test_forward_rejects_bad_batches():
     with pytest.raises(ContractError, match="vocab"):
         forward(m, Batch(np.full((2, 4), 8, dtype=np.int64),
                          np.zeros(2, dtype=np.int64)))
+    for rows, cols in ((0, 4), (2, 0)):
+        empty = Batch(np.zeros((rows, cols), dtype=np.int64),
+                      np.zeros(rows, dtype=np.int64))
+        with pytest.raises(ContractError, match="empty batch"):
+            forward(m, empty)
+        with pytest.raises(ContractError, match="empty batch"):
+            m.batch_nll(empty.token_ids, empty.labels)
 
 
 def test_batch_validation():
@@ -73,7 +103,7 @@ def test_batch_validation():
 
 def test_zero_embeddings_and_zero_head_give_flat_logits():
     m = build_model(SMALL)
-    m.embedding.data[:] = 0.0
+    m.params["embedding"].data[:] = 0.0
     m.head_W.data[:] = 0.0
     m.head_b.data[:] = 0.0
     batch = Batch(np.arange(8).reshape(2, 4) % 8, np.zeros(2, dtype=np.int64))
@@ -134,7 +164,7 @@ def test_layer_from_top():
 
 def test_parameter_partition_and_freeze():
     m = build_model(SMALL)
-    base = dict(m.base_parameters())
+    base = base_tensors(m)
     head = dict(m.head_parameters())
     assert set(base) | set(head) == {n for n, _ in m.named_parameters()}
     assert not set(base) & set(head)

@@ -16,7 +16,7 @@ from peftlab.peft import PeftConfig, ThetaTilde, attach
 from peftlab.tasks import generate_task
 from peftlab.tensor import Tensor
 
-from helpers import run_fresh
+from helpers import base_tensors, run_fresh
 
 SMALL = ModelConfig(num_layers=1, hidden_dim=8, num_heads=2, ffn_dim=16,
                     vocab_size=8, max_seq_len=6, num_classes=2, seed=5)
@@ -267,11 +267,11 @@ def test_train_zero_epochs_gives_init_eval_only():
 
 def test_train_keeps_base_bitwise_frozen():
     model, module, task, tcfg = training_setup()
-    before = {n: t.data.tobytes() for n, t in model.base_parameters()}
+    before = {n: t.data.tobytes() for n, t in base_tensors(model).items()}
     train(model, module, None, task, tcfg)
-    after = {n: t.data.tobytes() for n, t in model.base_parameters()}
+    after = {n: t.data.tobytes() for n, t in base_tensors(model).items()}
     assert before == after
-    assert all(t.grad is None for _, t in model.base_parameters())
+    assert all(t.grad is None for t in base_tensors(model).values())
     # head must have moved: it is trainable alongside the adapters
     assert model.head_W.data.tobytes() != build_model(
         ModelConfig(num_layers=1, hidden_dim=8, num_heads=2, ffn_dim=16,

@@ -77,10 +77,17 @@ def test_benchmark_harness_binds_to_the_package(monkeypatch):
 @pytest.mark.parametrize("name", ["TrainLoraSparse", "SweepUnipelt"])
 def test_benchmark_workload_passes_its_own_check(monkeypatch, tmp_path, name):
     """One operation of each benchmarked workload, checked as a benchmark
-    run checks it: the training curve against its recorded reference, and
-    every sweep cell's artifacts reloaded."""
+    run checks it: the training curve against its recorded reference, every
+    sweep cell's artifacts reloaded, and, as under ``--trace 1``, the same
+    index run traced must give the same output digest."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracer
     import workloads
 
     wl = getattr(workloads, name)(0, tmp_path)
-    assert wl.check(wl.operation(0, workloads.Timer())) == []
+    out = wl.operation(0, workloads.Timer())
+    assert wl.check(out) == []
+    plain = wl.digest(out)
+    with tracer.Tracer().installed(0):
+        traced = wl.digest(wl.operation(0, workloads.Timer()))
+    assert traced == plain

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from peftlab import tensor as T
-from peftlab.errors import ConfigError, ContractError
+from peftlab.errors import ConfigError, ContractError, NumericError
 from peftlab.model import Batch, ModelConfig, build_model, forward
 from peftlab.optim import TrainConfig, train
 from peftlab.peft import METHODS, PeftConfig, PeftModule, attach, pissa_init
 from peftlab.tasks import generate_task
 
-from helpers import finite_diff_grad, grad_close
+from helpers import base_tensors, finite_diff_grad, grad_close
 
 CFG32 = ModelConfig(num_layers=2, hidden_dim=32, num_heads=4, ffn_dim=64,
                     vocab_size=16, max_seq_len=8, num_classes=2, seed=42)
@@ -322,13 +322,14 @@ def test_prefix_changes_output_at_init():
 def test_prefix_suppressed_limit_matches_base():
     batch = small_batch()
     base_model = build_model(SMALL)
-    for lp in base_model.layers:
-        lp.b_Q.data[:] = 1.0  # make every query entry positive
+    for li in range(SMALL.num_layers):
+        # make every query entry positive
+        base_model.params[f"layer{li}/b_Q"].data[:] = 1.0
     base = logits_of(base_model, batch)
 
     m = build_model(SMALL)
-    for lp in m.layers:
-        lp.b_Q.data[:] = 1.0
+    for li in range(SMALL.num_layers):
+        m.params[f"layer{li}/b_Q"].data[:] = 1.0
     mod = attach(m, PeftConfig(method="prefix", prefix_len=4,
                                target_layers=(1, 2)))
     for (_, _, part), t in mod.params.items():
@@ -388,6 +389,91 @@ def test_unipelt_gate_limits():
         assert np.array_equal(logits_of(m, batch), logits_of(plain, batch))
 
 
+def test_dora_refuses_a_directed_column_of_zero_norm():
+    m = build_model(SMALL)
+    m.params["layer1/W_Q"].data[:, 3] = 0.0
+    attach(m, PeftConfig(method="dora", rank=2, target_layers=(1,)))
+    with pytest.raises(NumericError, match="layer 1 W_Q: column 3"):
+        forward(m, small_batch())
+
+
+# -- hook placement -------------------------------------------------------------
+
+
+def _mm(a, b):
+    """T.matmul's arithmetic: float64 products rounded to float32."""
+    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.float32)
+
+
+def _relu(a):
+    return np.maximum(a, np.float32(0))
+
+
+def _perturbed(cfg, seed, mean=0.0):
+    """Attach ``cfg`` to a SMALL model and fill its view at random, so every
+    low-rank B is nonzero. Returns the module, a lookup of its layer-1
+    arrays by (group, part), and a function that draws random (x, w, b)
+    operands for a layer-1 projection from the same generator."""
+    m = build_model(SMALL)
+    mod = attach(m, cfg)
+    rng = np.random.default_rng(seed)
+    view = mod.theta_tilde()
+    view.set_vector(rng.normal(mean, 0.5, view.length))
+
+    def operands(name):
+        shape = m.params[f"layer1/{name}"].shape
+        return tuple(T.Tensor(rng.normal(0.0, s, size).astype(np.float32))
+                     for s, size in ((1.0, (4, 6, shape[0])), (0.3, shape),
+                                     (0.1, shape[1:])))
+
+    return mod, (lambda group, part: mod.params[(1, group, part)].data), \
+        operands
+
+
+@pytest.mark.parametrize("name, point", [("W_O", "adapter_attn"),
+                                         ("FFN2", "adapter_ffn")])
+def test_adapter_block_follows_its_projection(name, point):
+    mod, p, operands = _perturbed(
+        PeftConfig(method="adapter", rank=3, target_layers=(1,)), 2)
+    x, w, b = operands(name)
+    h = _mm(x.data, w.data) + b.data
+    want = h + _mm(_relu(_mm(h, p(point, "A").T)), p(point, "B").T)
+    assert mod.project(1, name, x, w, b).data.tobytes() == want.tobytes()
+    x, w, b = operands("W_V")  # no block follows W_V
+    assert mod.project(1, "W_V", x, w, b).data.tobytes() == \
+        (_mm(x.data, w.data) + b.data).tobytes()
+
+
+def test_ia3_scales_ffn2_input_and_key_value_outputs():
+    mod, p, operands = _perturbed(PeftConfig(method="ia3",
+                                             target_layers=(1,)), 3, mean=1.0)
+    x, w, b = operands("FFN2")
+    want = _mm(x.data * p("FFN", "l"), w.data) + b.data
+    assert mod.project(1, "FFN2", x, w, b).data.tobytes() == want.tobytes()
+    x, w, b = operands("W_K")
+    want = (_mm(x.data, w.data) + b.data) * p("W_K", "l")
+    assert mod.project(1, "W_K", x, w, b).data.tobytes() == want.tobytes()
+
+
+def test_unipelt_gates_lora_then_adapter_on_w_o():
+    """W_O's output is h = x w + b + g_lora * lora(x), then
+    h + g_adapter * adapter(h)."""
+    mod, p, operands = _perturbed(
+        PeftConfig(method="unipelt", rank=2, prefix_len=3,
+                   target_weights=("W_O",), target_layers=(1,)), 4)
+    x, w, b = operands("W_O")
+    mod.begin_layer(1, x)
+    gate = {part: mod._gates[(1, part)].data.reshape(4, 1, 1)
+            for part in ("lora", "adapter")}
+    lora = _mm(_mm(x.data, p("W_O", "B")), p("W_O", "A")) \
+        * np.float32(mod.submodules["lora"].scale)
+    h = _mm(x.data, w.data) + b.data + lora * gate["lora"]
+    adapter = _mm(_relu(_mm(h, p("adapter_attn", "A").T)),
+                  p("adapter_attn", "B").T)
+    want = h + adapter * gate["adapter"]
+    assert mod.project(1, "W_O", x, w, b).data.tobytes() == want.tobytes()
+
+
 # -- pissa ----------------------------------------------------------------------
 
 
@@ -419,12 +505,12 @@ def test_pissa_attach_reproduces_base_and_mutates_weight():
     batch = small_batch()
     base_model = build_model(SMALL)
     base = logits_of(base_model, batch)
-    w_before = base_model.layers[1].W_Q.data.copy()
+    w_before = base_model.params["layer1/W_Q"].data.copy()
 
     m = build_model(SMALL)
     attach(m, PeftConfig(method="lora", rank=2, init="pissa",
                          target_weights=("W_Q",), target_layers=(1,)))
-    assert m.layers[1].W_Q.data.tobytes() != w_before.tobytes()
+    assert m.params["layer1/W_Q"].data.tobytes() != w_before.tobytes()
     assert np.max(np.abs(logits_of(m, batch) - base)) < 1e-4
 
 
@@ -454,7 +540,7 @@ def test_failed_pissa_attach_leaves_the_base_weights_alone():
 def test_attach_freezes_base_keeps_head():
     m = build_model(SMALL)
     attach(m, PeftConfig(method="lora"))
-    assert all(not t.requires_grad for _, t in m.base_parameters())
+    assert all(not t.requires_grad for t in base_tensors(m).values())
     assert all(t.requires_grad for _, t in m.head_parameters())
     assert all(t.requires_grad for t in m.peft.theta_tilde().tensors())
 
@@ -593,5 +679,5 @@ def test_base_gets_no_grads_after_attach():
     attach(m, PeftConfig(method="lora", rank=2))
     batch = small_batch()
     T.backward(T.log_softmax_nll(forward(m, batch), batch.labels))
-    assert all(t.grad is None for _, t in m.base_parameters())
+    assert all(t.grad is None for t in base_tensors(m).values())
     assert all(t.grad is not None for _, t in m.head_parameters())
