@@ -23,8 +23,7 @@ from .config import (ExperimentConfig, MaskConfig, TaskConfig, config_hash,
 from .errors import (CheckpointError, ConfigError, ContractError,
                      ExperimentError, GraphError, NumericError, PeftLabError,
                      ShapeError)
-from .experiment import (CellResult, ComparisonTable, compare_strategies,
-                         run_experiment)
+from .experiment import compare_strategies, run_experiment
 from .fisher import (STRATEGIES, FisherEstimate, SparsityMask, budget_to_k,
                      estimate_fisher, mask_gradients, select)
 from .model import Batch, ModelConfig, TransformerModel, build_model, forward
@@ -37,9 +36,9 @@ from .tensor import Tensor, backward, no_grad
 __version__ = "0.1.0"
 
 __all__ = [
-    "Batch", "CellResult", "CheckpointError", "CheckpointState",
-    "ComparisonTable", "ConfigError", "ContractError", "EpochRecord",
-    "ExperimentConfig", "ExperimentError", "FisherEstimate", "GraphError",
+    "Batch", "CheckpointError", "CheckpointState", "ConfigError",
+    "ContractError", "EpochRecord", "ExperimentConfig", "ExperimentError",
+    "FisherEstimate", "GraphError",
     "MaskConfig", "ModelConfig", "NumericError", "OptimizerState",
     "PeftConfig", "PeftLabError", "PeftModule", "STRATEGIES", "ShapeError",
     "SparsityMask", "TASK_KINDS", "TaskConfig", "Tensor", "ThetaTilde",

@@ -26,7 +26,8 @@ from .checkpoint import (atomic_write_text, load_checkpoint, save_mask,
 from .config import ExperimentConfig
 from .errors import ConfigError, PeftLabError
 from .experiment import (_SCORED, _make_task, _rebind_seed, _select_mask,
-                         _setup, compare_strategies, run_experiment)
+                         _setup, compare_strategies, comparison_tsv,
+                         run_experiment)
 from .optim import evaluate
 
 
@@ -222,13 +223,16 @@ def _cmd_compare(cfg: ExperimentConfig, args) -> int:
         else (cfg.mask.strategy,)
     budgets = _parse_floats(args.budget, "--budget") if args.budget \
         else (cfg.mask.budget,)
-    seeds = _parse_ints(args.seed, "--seed") if args.seed \
-        else (cfg.train.seed,)
-    table = compare_strategies(cfg, strategies, budgets, seeds)
-    sys.stdout.write(table.to_tsv())
-    failed = [c for c in table.cells if c.error is not None]
-    for c in failed:
-        print(f"cell ({c.strategy}, {c.budget:g}) failed: {c.error}",
+    own = (cfg.model.seed, cfg.task.seed, cfg.mask.seed, cfg.train.seed)
+    if not args.seed and len(set(own)) > 1:
+        raise ConfigError("compare needs --seed, which sets all four of the "
+                          f"config's model, task, mask and train seeds {own}")
+    seeds = _parse_ints(args.seed, "--seed") if args.seed else own[:1]
+    runs = compare_strategies(cfg, strategies, budgets, seeds)
+    sys.stdout.write(comparison_tsv(runs))
+    failed = {k: r for k, r in runs.items() if isinstance(r, PeftLabError)}
+    for (strategy, budget, seed), e in failed.items():
+        print(f"run ({strategy}, {budget:g}, seed {seed}) failed: {e}",
               file=sys.stderr)
     return 2 if failed else 0
 

@@ -7,7 +7,10 @@ train -> persist. Every stage failure is re-raised as
 
 ``compare_strategies`` runs the cartesian strategy x budget x seed sweep with
 one shared score estimate per seed, the way a comparison table is meant to be
-produced: every strategy at a given seed sees the identical estimate.
+produced: every strategy at a given seed sees the identical estimate. It
+returns the runs themselves, one report or error per (strategy, budget,
+seed), and ``comparison_tsv`` and ``comparison_json`` render the table from
+them.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import dataclasses
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,52 +161,7 @@ def run_experiment(cfg: ExperimentConfig,
 
 
 # ---------------------------------------------------------------------------
-# strategy x budget sweep
-
-
-@dataclass
-class CellResult:
-    strategy: str
-    budget: float
-    seeds: tuple[int, ...]
-    accuracies: list[float]
-    mean_accuracy: float | None
-    error: str | None = None
-
-
-@dataclass
-class ComparisonTable:
-    strategies: tuple[str, ...]
-    budgets: tuple[float, ...]
-    seeds: tuple[int, ...]
-    cells: list[CellResult]
-
-    def cell(self, strategy: str, budget: float) -> CellResult:
-        for c in self.cells:
-            if c.strategy == strategy and c.budget == budget:
-                return c
-        raise ContractError(f"no cell for ({strategy}, {budget})")
-
-    def to_tsv(self) -> str:
-        header = "strategy\t" + "\t".join(f"budget={b:g}" for b in self.budgets)
-        rows = [header]
-        for s in self.strategies:
-            vals = []
-            for b in self.budgets:
-                c = self.cell(s, b)
-                vals.append("ERROR" if c.error is not None
-                            else f"{c.mean_accuracy:.4f}")
-            rows.append(s + "\t" + "\t".join(vals))
-        return "\n".join(rows) + "\n"
-
-    def to_json(self) -> str:
-        doc = {
-            "strategies": list(self.strategies),
-            "budgets": list(self.budgets),
-            "seeds": list(self.seeds),
-            "cells": [dataclasses.asdict(c) for c in self.cells],
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+# strategy x budget x seed sweep
 
 
 def _rebind_seed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
@@ -217,16 +174,27 @@ def _rebind_seed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
         train=dataclasses.replace(cfg.train, seed=seed))
 
 
-def compare_strategies(cfg: ExperimentConfig, strategies, budgets,
-                       seeds) -> ComparisonTable:
+def _attempt(fn):
+    """fn's result, or the PeftLabError it raised."""
+    try:
+        return fn()
+    except PeftLabError as e:
+        return e
+
+
+def compare_strategies(cfg: ExperimentConfig, strategies, budgets, seeds
+                       ) -> dict[tuple, TrainReport | PeftLabError]:
     """Cartesian sweep with one shared score estimate per seed.
 
-    Every cell's config is built before the first cell runs, so a bad or
+    Returns one entry per run, keyed ``(strategy, budget, seed)`` in
+    strategy, budget, seed order: the run's TrainReport, or the
+    PeftLabError that stopped it. Every run is attempted, and a seed whose
+    score estimate fails fails its scored runs without a second try.
+    Every run's config is built before the first run starts, so a bad or
     repeated strategy, budget (by its ``:g`` cell name) or seed raises
-    ConfigError up front. A cell that fails while running records its error
-    and the sweep continues. When ``cfg.out_dir`` is set, each cell writes
-    its artifacts under ``cells/<strategy>-<budget>-<seed>`` and the
-    finished table lands in comparison.tsv / comparison.json.
+    ConfigError up front. When ``cfg.out_dir`` is set, each run writes its
+    artifacts under ``cells/<strategy>-<budget>-<seed>`` and the sweep
+    writes comparison.tsv and comparison.json.
     """
     strategies = tuple(strategies)
     budgets = tuple(budgets)
@@ -250,37 +218,65 @@ def compare_strategies(cfg: ExperimentConfig, strategies, budgets,
             if key in keys[:i]:
                 raise ConfigError(f"repeated {what} {key} in the sweep")
 
-    score_cache: dict[int, FisherEstimate] = {}
+    scores: dict[int, FisherEstimate | PeftLabError] = {}
+    results = {}
+    for (strategy, budget, seed), run_cfg in runs.items():
+        if strategy in _SCORED and seed not in scores:
+            scores[seed] = _attempt(lambda: _setup(run_cfg, True)[3])
+        shared = scores[seed] if strategy in _SCORED else None
+        results[strategy, budget, seed] = (
+            shared if isinstance(shared, PeftLabError)
+            else _attempt(lambda: run_experiment(run_cfg, shared)))
 
-    def scores_for(seed: int) -> FisherEstimate:
-        if seed not in score_cache:
-            score_cache[seed] = _setup(_rebind_seed(cfg, seed), True)[3]
-        return score_cache[seed]
-
-    cells = []
-    for strategy in strategies:
-        for budget in budgets:
-            accs: list[float] = []
-            error = None
-            for seed in seeds:
-                try:
-                    shared = scores_for(seed) \
-                        if strategy in _SCORED else None
-                    report = run_experiment(runs[strategy, budget, seed],
-                                            shared)
-                    accs.append(report.final_eval_accuracy)
-                except PeftLabError as e:
-                    error = f"seed {seed}: {e}"
-                    break
-            mean = float(np.mean(accs)) if error is None else None
-            cells.append(CellResult(strategy, budget, seeds, accs, mean,
-                                    error))
-
-    table = ComparisonTable(strategies, budgets, seeds, cells)
     if cfg.out_dir is not None:
         os.makedirs(cfg.out_dir, exist_ok=True)
         atomic_write_text(os.path.join(cfg.out_dir, "comparison.tsv"),
-                          table.to_tsv())
+                          comparison_tsv(results))
         atomic_write_text(os.path.join(cfg.out_dir, "comparison.json"),
-                          table.to_json())
-    return table
+                          comparison_json(results))
+    return results
+
+
+def _axes(runs: dict) -> list[list]:
+    """The sweep's strategies, budgets and seeds, in sweep order."""
+    return [list(dict.fromkeys(key[i] for key in runs)) for i in range(3)]
+
+
+def _cells(runs: dict) -> dict[tuple, dict]:
+    """Per (strategy, budget): the finished seeds' final accuracies, their
+    mean when no seed failed, and one ``seed S: msg`` per failed seed."""
+    strategies, budgets, seeds = _axes(runs)
+    cells = {}
+    for s in strategies:
+        for b in budgets:
+            done = [runs[s, b, seed] for seed in seeds]
+            accs = [r.final_eval_accuracy for r in done
+                    if isinstance(r, TrainReport)]
+            errors = [f"seed {seed}: {r}" for seed, r in zip(seeds, done)
+                      if isinstance(r, PeftLabError)]
+            cells[s, b] = {
+                "strategy": s, "budget": b, "seeds": seeds,
+                "accuracies": accs, "error": "; ".join(errors) or None,
+                "mean_accuracy": None if errors else float(np.mean(accs))}
+    return cells
+
+
+def comparison_tsv(runs: dict) -> str:
+    """comparison.tsv: a strategy per row, a budget per column, and in each
+    cell the mean final accuracy over seeds, or ERROR."""
+    strategies, budgets, _ = _axes(runs)
+    cells = _cells(runs)
+    rows = ["strategy\t" + "\t".join(f"budget={b:g}" for b in budgets)]
+    for s in strategies:
+        means = [cells[s, b]["mean_accuracy"] for b in budgets]
+        rows.append("\t".join([s] + ["ERROR" if m is None else f"{m:.4f}"
+                                     for m in means]))
+    return "\n".join(rows) + "\n"
+
+
+def comparison_json(runs: dict) -> str:
+    """comparison.json: the sweep's axes and every cell's summary."""
+    strategies, budgets, seeds = _axes(runs)
+    doc = {"strategies": strategies, "budgets": budgets, "seeds": seeds,
+           "cells": list(_cells(runs).values())}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -246,9 +246,34 @@ def test_compare_cell_failure_exits_2(tmp_path, cfg_path, capsys):
     path.write_text(json.dumps(doc))
     assert cli(["compare", "--config", str(path),
                 "--strategy", "fish,random", "--budget", "0.5",
-                "--seed", "3"]) == 2
+                "--seed", "3,4"]) == 2
+    out, err = capsys.readouterr()
+    fish, random_ = out.splitlines()[1:]
+    assert fish == "fish\tERROR"
+    assert random_.startswith("random\t") and "ERROR" not in random_
+    lines = err.splitlines()
+    assert [l.split(" failed: ")[0] for l in lines] == [
+        "run (fish, 0.5, seed 3)", "run (fish, 0.5, seed 4)"]
+    assert all("exceeds" in l for l in lines)
+
+
+def test_compare_without_seed_refuses_a_config_of_mixed_seeds(
+        tmp_path, cfg_path, capsys):
+    with open(cfg_path) as fh:
+        doc = json.load(fh)
+    doc["train"]["seed"] = 42
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "sw"
+    assert cli(["compare", "--config", str(path), "--strategy", "random",
+                "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "exceeds" in err
+    assert "--seed" in err and "(3, 3, 3, 42)" in err
+    assert not out.exists()
+    # one seed everywhere: the config's own seed is the sweep's
+    assert cli(["compare", "--config", cfg_path, "--strategy", "random",
+                "--out", str(out)]) == 0
+    assert (out / "cells" / "random-0.25-3").is_dir()
 
 
 def test_report_renders_stored_runs(tmp_path, cfg_path, capsys):

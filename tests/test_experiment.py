@@ -11,10 +11,12 @@ import pytest
 from peftlab.config import (ExperimentConfig, MaskConfig, TaskConfig,
                             config_hash, from_json)
 from peftlab.errors import ConfigError, ContractError, ExperimentError
-from peftlab.experiment import compare_strategies, run_experiment
+from peftlab import experiment
+from peftlab.experiment import (compare_strategies, comparison_json,
+                                comparison_tsv, run_experiment)
 from peftlab.checkpoint import load_checkpoint, load_mask, load_scores
 from peftlab.model import ModelConfig
-from peftlab.optim import TrainConfig
+from peftlab.optim import TrainConfig, TrainReport
 from peftlab.peft import PeftConfig
 
 
@@ -153,24 +155,28 @@ def test_compare_rejects_a_mistyped_value_before_any_cell_runs(
 
 def test_compare_single_cell_equals_single_run(tmp_path):
     cfg = quick_config()
-    table = compare_strategies(cfg, ["dense"], [1.0], [3])
+    runs = compare_strategies(cfg, ["dense"], [1.0], [3])
     report = run_experiment(quick_config(None, strategy="dense", budget=1.0))
-    cell = table.cell("dense", 1.0)
-    assert cell.error is None
-    assert cell.accuracies == [report.final_eval_accuracy]
-    assert cell.mean_accuracy == report.final_eval_accuracy
+    assert list(runs) == [("dense", 1.0, 3)]
+    assert runs["dense", 1.0, 3].records == report.records
+    cell, = json.loads(comparison_json(runs))["cells"]
+    assert cell["error"] is None
+    assert cell["accuracies"] == [report.final_eval_accuracy]
+    assert cell["mean_accuracy"] == report.final_eval_accuracy
 
 
 def test_compare_full_budget_degeneracy(tmp_path):
     """At budget 1.0 every strategy trains the same coordinates."""
     cfg = quick_config()
-    table = compare_strategies(cfg, ["fish", "random", "reverse", "dense"],
-                               [1.0], [3, 4])
-    cells = [table.cell(s, 1.0) for s in ("fish", "random", "reverse",
-                                          "dense")]
-    for c in cells:
-        assert c.error is None
-        assert c.accuracies == cells[0].accuracies
+    strategies = ("fish", "random", "reverse", "dense")
+    runs = compare_strategies(cfg, strategies, [1.0], [3, 4])
+    assert list(runs) == [(s, 1.0, seed) for s in strategies
+                          for seed in (3, 4)]
+    for s in strategies:
+        for seed in (3, 4):
+            assert isinstance(runs[s, 1.0, seed], TrainReport)
+            assert (runs[s, 1.0, seed].final_eval_accuracy ==
+                    runs["fish", 1.0, seed].final_eval_accuracy)
 
 
 def test_compare_records_cell_failures_and_continues(tmp_path):
@@ -178,41 +184,96 @@ def test_compare_records_cell_failures_and_continues(tmp_path):
     cfg = quick_config()
     cfg = dataclasses.replace(
         cfg, mask=dataclasses.replace(cfg.mask, fisher_samples=1000))
-    table = compare_strategies(cfg, ["fish", "random"], [0.5], [3])
-    bad = table.cell("fish", 0.5)
-    assert bad.error is not None and "exceeds" in bad.error
-    assert bad.mean_accuracy is None
-    good = table.cell("random", 0.5)
-    assert good.error is None
+    runs = compare_strategies(cfg, ["fish", "random"], [0.5], [3])
+    bad = runs["fish", 0.5, 3]
+    assert isinstance(bad, ExperimentError) and "exceeds" in str(bad)
+    assert isinstance(runs["random", 0.5, 3], TrainReport)
+    cells = json.loads(comparison_json(runs))["cells"]
+    assert cells[0]["error"] == f"seed 3: {bad}"
+    assert cells[0]["mean_accuracy"] is None
+    assert cells[1]["error"] is None
 
 
 def test_compare_table_render(tmp_path):
     out = str(tmp_path / "sweep")
     cfg = quick_config(out)
-    table = compare_strategies(cfg, ["fish", "random"], [0.25, 1.0], [3])
-    tsv = table.to_tsv()
+    runs = compare_strategies(cfg, ["fish", "random"], [0.25, 1.0], [3])
+    tsv = comparison_tsv(runs)
     lines = tsv.strip().split("\n")
     assert lines[0] == "strategy\tbudget=0.25\tbudget=1"
     assert lines[1].startswith("fish\t")
     assert (tmp_path / "sweep" / "comparison.tsv").read_text() == tsv
-    doc = json.loads((tmp_path / "sweep" / "comparison.json").read_text())
+    text = (tmp_path / "sweep" / "comparison.json").read_text()
+    assert text == comparison_json(runs)
+    doc = json.loads(text)
     assert doc["strategies"] == ["fish", "random"]
     assert len(doc["cells"]) == 4
     # per-cell artifacts land under cells/
     assert (tmp_path / "sweep" / "cells" / "fish-0.25-3" / "report.json").exists()
 
 
+def _direct_run(cfg, strategy, budget, seed, out_dir=None):
+    """The single run a sweep makes for (strategy, budget, seed)."""
+    return run_experiment(dataclasses.replace(
+        quick_config(out_dir, strategy=strategy, budget=budget),
+        model=dataclasses.replace(cfg.model, seed=seed),
+        task=dataclasses.replace(cfg.task, seed=seed),
+        mask=dataclasses.replace(cfg.mask, strategy=strategy, budget=budget,
+                                 seed=seed),
+        train=dataclasses.replace(cfg.train, seed=seed)))
+
+
 def test_compare_seed_rebinds_whole_experiment(tmp_path):
     """Sweep seeds change model, task, mask, and training together."""
     cfg = quick_config()
-    table = compare_strategies(cfg, ["random"], [0.5], [3, 4])
-    cell = table.cell("random", 0.5)
-    out_a = str(tmp_path / "a")
-    direct = run_experiment(dataclasses.replace(
-        quick_config(out_a, strategy="random", budget=0.5),
-        model=dataclasses.replace(cfg.model, seed=4),
-        task=dataclasses.replace(cfg.task, seed=4),
-        mask=dataclasses.replace(cfg.mask, strategy="random", budget=0.5,
-                                 seed=4),
-        train=dataclasses.replace(cfg.train, seed=4)))
-    assert cell.accuracies[1] == direct.final_eval_accuracy
+    runs = compare_strategies(cfg, ["random"], [0.5], [3, 4])
+    direct = _direct_run(cfg, "random", 0.5, 4, str(tmp_path / "a"))
+    assert runs["random", 0.5, 4].final_eval_accuracy == \
+        direct.final_eval_accuracy
+    assert runs["random", 0.5, 4].records == direct.records
+
+
+def test_compare_failing_seed_does_not_hide_the_next(monkeypatch):
+    real = experiment.run_experiment
+
+    def fail_at_seed_3(cfg, shared_scores=None):
+        if cfg.train.seed == 3:
+            raise ExperimentError("train", "injected failure")
+        return real(cfg, shared_scores)
+
+    monkeypatch.setattr(experiment, "run_experiment", fail_at_seed_3)
+    cfg = quick_config()
+    runs = compare_strategies(cfg, ["random"], [0.5], [3, 4])
+    assert list(runs) == [("random", 0.5, 3), ("random", 0.5, 4)]
+    assert isinstance(runs["random", 0.5, 3], ExperimentError)
+    assert "injected failure" in str(runs["random", 0.5, 3])
+    direct = _direct_run(cfg, "random", 0.5, 4)
+    assert dataclasses.replace(runs["random", 0.5, 4],
+                               wall_time_seconds=0.0) == \
+        dataclasses.replace(direct, wall_time_seconds=0.0)
+    cell, = json.loads(comparison_json(runs))["cells"]
+    assert cell["accuracies"] == [direct.final_eval_accuracy]
+    assert cell["mean_accuracy"] is None
+    assert cell["error"].startswith("seed 3: ")
+
+
+def test_compare_tries_a_failing_score_estimate_once_per_seed(monkeypatch):
+    # more score samples than the 48-example split: every estimate fails
+    real = experiment._setup
+    scored = []
+
+    def counting_setup(cfg, score):
+        if score:
+            scored.append(cfg.model.seed)
+        return real(cfg, score)
+
+    monkeypatch.setattr(experiment, "_setup", counting_setup)
+    cfg = quick_config()
+    cfg = dataclasses.replace(
+        cfg, mask=dataclasses.replace(cfg.mask, fisher_samples=1000))
+    runs = compare_strategies(cfg, ["fish", "reverse"], [0.25, 0.5], [3, 4])
+    assert scored == [3, 4]
+    assert len(runs) == 8
+    for (_, _, seed), r in runs.items():
+        assert isinstance(r, ExperimentError) and "exceeds" in str(r)
+        assert r is runs["fish", 0.25, seed]
