@@ -4,7 +4,9 @@ Subcommands mirror the pipeline stages: ``gen-data`` writes a dataset,
 ``fisher`` estimates and stores scores, ``mask`` selects and stores a mask,
 ``train`` runs the full pipeline, ``eval`` re-scores a checkpoint,
 ``compare`` sweeps strategies x budgets x seeds, and ``report`` renders
-stored run reports as text. Flags override the config file. Exit codes:
+stored run reports as text. Flags override the config file; every command
+reads ``--strategy``, ``--budget`` and ``--seed`` alike, as comma lists that
+``compare`` sweeps and every other command takes one value of. Exit codes:
 0 success; 1 a usage error or a config value its own field rule refuses;
 2 a runtime failure. A value that can only be checked against the built
 model or the data (a rank above a weight's smaller dimension, a target
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -25,7 +28,7 @@ from .checkpoint import (atomic_write_text, load_checkpoint, save_mask,
                          save_scores)
 from .config import ExperimentConfig
 from .errors import ConfigError, PeftLabError
-from .experiment import (_SCORED, _make_task, _rebind_seed, _select_mask,
+from .experiment import (_SCORED, _make_task, _run_config, _select_mask,
                          _setup, compare_strategies, comparison_tsv,
                          run_experiment)
 from .optim import evaluate
@@ -76,19 +79,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_ints(text: str, what: str) -> tuple[int, ...]:
+def _parse_list(text: str, what: str, kind: type) -> tuple:
+    """The comma list ``text`` of the flag ``what`` as ``kind`` values."""
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(kind(part) for part in text.split(","))
     except ValueError:
-        raise ConfigError(f"{what}: expected comma-separated integers, "
-                          f"got '{text}'") from None
-
-
-def _parse_floats(text: str, what: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise ConfigError(f"{what}: expected comma-separated numbers, "
+        noun = "integers" if kind is int else "numbers"
+        raise ConfigError(f"{what}: expected comma-separated {noun}, "
                           f"got '{text}'") from None
 
 
@@ -100,7 +97,9 @@ def _single(values: tuple, what: str):
 
 
 def _load_config(args) -> ExperimentConfig:
-    if getattr(args, "config", None):
+    """The config file, or the defaults, with every flag but the sweep axes
+    (--strategy, --budget, --seed) folded over it."""
+    if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -109,12 +108,7 @@ def _load_config(args) -> ExperimentConfig:
         cfg = config_mod.from_json(text)
     else:
         cfg = ExperimentConfig()
-    return cfg
 
-
-def _apply_overrides(cfg: ExperimentConfig, args,
-                     multi: bool) -> ExperimentConfig:
-    """Fold flag values over the config file; comma lists only for compare."""
     peft_kw = {}
     if args.method is not None:
         peft_kw["method"] = args.method
@@ -123,20 +117,10 @@ def _apply_overrides(cfg: ExperimentConfig, args,
     if args.prefix_len is not None:
         peft_kw["prefix_len"] = args.prefix_len
     if args.layers is not None:
-        peft_kw["target_layers"] = _parse_ints(args.layers, "--layers")
+        peft_kw["target_layers"] = _parse_list(args.layers, "--layers", int)
     if peft_kw:
         cfg = dataclasses.replace(
             cfg, peft=dataclasses.replace(cfg.peft, **peft_kw))
-
-    mask_kw = {}
-    if args.strategy is not None and not multi:
-        mask_kw["strategy"] = args.strategy
-    if args.budget is not None and not multi:
-        mask_kw["budget"] = _single(_parse_floats(args.budget, "--budget"),
-                                    "--budget")
-    if mask_kw:
-        cfg = dataclasses.replace(
-            cfg, mask=dataclasses.replace(cfg.mask, **mask_kw))
 
     train_kw = {}
     if args.epochs is not None:
@@ -147,12 +131,26 @@ def _apply_overrides(cfg: ExperimentConfig, args,
         cfg = dataclasses.replace(
             cfg, train=dataclasses.replace(cfg.train, **train_kw))
 
-    if args.seed is not None and not multi:
-        cfg = _rebind_seed(cfg,
-                           _single(_parse_ints(args.seed, "--seed"), "--seed"))
     if args.out is not None:
         cfg = dataclasses.replace(cfg, out_dir=args.out)
     return cfg
+
+
+def _axes(cfg: ExperimentConfig, args) -> tuple[tuple, tuple, tuple]:
+    """--strategy, --budget and --seed as comma lists. An absent flag gives
+    the config's own strategy or budget, and no seed: (None,)."""
+    def axis(text, flag, kind, own):
+        return (own,) if text is None else _parse_list(text, flag, kind)
+    return (axis(args.strategy, "--strategy", str, cfg.mask.strategy),
+            axis(args.budget, "--budget", float, cfg.mask.budget),
+            axis(args.seed, "--seed", int, None))
+
+
+def _single_config(args) -> ExperimentConfig:
+    """The config of a single-run command: one value of each sweep axis."""
+    cfg = _load_config(args)
+    return _run_config(cfg, *map(_single, _axes(cfg, args),
+                                 ("--strategy", "--budget", "--seed")))
 
 
 def _out_dir(cfg: ExperimentConfig) -> str:
@@ -163,7 +161,8 @@ def _out_dir(cfg: ExperimentConfig) -> str:
     return cfg.out_dir
 
 
-def _cmd_gen_data(cfg: ExperimentConfig) -> int:
+def _cmd_gen_data(args) -> int:
+    cfg = _single_config(args)
     out = _out_dir(cfg)
     lines = []
     for split, data in zip(("train", "eval"), _make_task(cfg)):
@@ -176,7 +175,8 @@ def _cmd_gen_data(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _cmd_fisher(cfg: ExperimentConfig) -> int:
+def _cmd_fisher(args) -> int:
+    cfg = _single_config(args)
     out = _out_dir(cfg)
     estimate = _setup(cfg, True)[3]
     path = os.path.join(out, "scores.bin")
@@ -186,7 +186,8 @@ def _cmd_fisher(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _cmd_mask(cfg: ExperimentConfig) -> int:
+def _cmd_mask(args) -> int:
+    cfg = _single_config(args)
     out = _out_dir(cfg)
     _, _, module, estimate = _setup(cfg, cfg.mask.strategy in _SCORED)
     if estimate is not None:
@@ -199,7 +200,8 @@ def _cmd_mask(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _cmd_train(cfg: ExperimentConfig) -> int:
+def _cmd_train(args) -> int:
+    cfg = _single_config(args)
     report = run_experiment(cfg)
     print(f"strategy={report.strategy} seed={report.seed} "
           f"final_eval_loss={report.final_eval_loss:.6f} "
@@ -218,16 +220,16 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_compare(cfg: ExperimentConfig, args) -> int:
-    strategies = tuple(args.strategy.split(",")) if args.strategy \
-        else (cfg.mask.strategy,)
-    budgets = _parse_floats(args.budget, "--budget") if args.budget \
-        else (cfg.mask.budget,)
-    own = (cfg.model.seed, cfg.task.seed, cfg.mask.seed, cfg.train.seed)
-    if not args.seed and len(set(own)) > 1:
-        raise ConfigError("compare needs --seed, which sets all four of the "
-                          f"config's model, task, mask and train seeds {own}")
-    seeds = _parse_ints(args.seed, "--seed") if args.seed else own[:1]
+def _cmd_compare(args) -> int:
+    cfg = _load_config(args)
+    strategies, budgets, seeds = _axes(cfg, args)
+    if seeds == (None,):
+        own = (cfg.model.seed, cfg.task.seed, cfg.mask.seed, cfg.train.seed)
+        if len(set(own)) > 1:
+            raise ConfigError("compare needs --seed, which sets all four of "
+                              "the config's model, task, mask and train "
+                              f"seeds {own}")
+        seeds = own[:1]
     runs = compare_strategies(cfg, strategies, budgets, seeds)
     sys.stdout.write(comparison_tsv(runs))
     failed = {k: r for k, r in runs.items() if isinstance(r, PeftLabError)}
@@ -238,11 +240,14 @@ def _cmd_compare(cfg: ExperimentConfig, args) -> int:
 
 
 def _sparkline(values) -> str:
+    """One glyph per value, scaled over the finite values; a non-finite
+    value (a diverged run's NaN loss) is drawn as ``!``."""
     glyphs = " .:-=+*#%@"
-    lo, hi = min(values), max(values)
+    finite = [v for v in values if math.isfinite(v)] or [0.0]
+    lo, hi = min(finite), max(finite)
     span = (hi - lo) or 1.0
     return "".join(glyphs[int((v - lo) / span * (len(glyphs) - 1))]
-                   for v in values)
+                   if math.isfinite(v) else "!" for v in values)
 
 
 def _cmd_report(args) -> int:
@@ -270,6 +275,11 @@ def _cmd_report(args) -> int:
     return 0
 
 
+_COMMANDS = {"gen-data": _cmd_gen_data, "fisher": _cmd_fisher,
+             "mask": _cmd_mask, "train": _cmd_train, "eval": _cmd_eval,
+             "compare": _cmd_compare, "report": _cmd_report}
+
+
 def cli(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -280,22 +290,7 @@ def cli(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        multi = args.command == "compare"
-        cfg = _apply_overrides(_load_config(args), args, multi)
-        if args.command == "gen-data":
-            return _cmd_gen_data(cfg)
-        if args.command == "fisher":
-            return _cmd_fisher(cfg)
-        if args.command == "mask":
-            return _cmd_mask(cfg)
-        if args.command == "train":
-            return _cmd_train(cfg)
-        if args.command == "compare":
-            return _cmd_compare(cfg, args)
+        return _COMMANDS[args.command](args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -305,7 +300,6 @@ def cli(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 def main() -> None:

@@ -164,14 +164,19 @@ def run_experiment(cfg: ExperimentConfig,
 # strategy x budget x seed sweep
 
 
-def _rebind_seed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
-    """One sweep seed drives model init, task draw, mask draw, and training."""
+def _run_config(cfg: ExperimentConfig, strategy: str, budget: float,
+                seed: int | None) -> ExperimentConfig:
+    """The config of one sweep point: ``cfg`` at this strategy and budget.
+    One seed drives model init, task draw, mask draw, and training; None
+    leaves the config's four seeds as they are."""
+    seeded = {} if seed is None else {"seed": seed}
     return dataclasses.replace(
         cfg,
-        model=dataclasses.replace(cfg.model, seed=seed),
-        task=dataclasses.replace(cfg.task, seed=seed),
-        mask=dataclasses.replace(cfg.mask, seed=seed),
-        train=dataclasses.replace(cfg.train, seed=seed))
+        model=dataclasses.replace(cfg.model, **seeded),
+        task=dataclasses.replace(cfg.task, **seeded),
+        mask=dataclasses.replace(cfg.mask, strategy=strategy, budget=budget,
+                                 **seeded),
+        train=dataclasses.replace(cfg.train, **seeded))
 
 
 def _attempt(fn):
@@ -201,12 +206,12 @@ def compare_strategies(cfg: ExperimentConfig, strategies, budgets, seeds
     seeds = tuple(seeds)
     if not strategies or not budgets or not seeds:
         raise ContractError("strategies, budgets, and seeds must be non-empty")
-    # configs (mask= before out_dir=) come before :g names: a bad type is a
-    # ConfigError, not a format error
+    if None in seeds:  # would leave the config's own seeds in place
+        raise ConfigError("seed: expected int, got None")
+    # configs come before :g names: a bad type is a ConfigError, not a
+    # format error
     runs = {(strategy, budget, seed): dataclasses.replace(
-                _rebind_seed(cfg, seed),
-                mask=dataclasses.replace(cfg.mask, strategy=strategy,
-                                         budget=budget, seed=seed),
+                _run_config(cfg, strategy, budget, seed),
                 out_dir=(os.path.join(cfg.out_dir, "cells",
                                       f"{strategy}-{budget:g}-{seed}")
                          if cfg.out_dir is not None else None))

@@ -114,9 +114,6 @@ class ThetaTilde:
             t.data = view.reshape(seg.shape)
             t.grad = self.grad[seg.start:seg.stop].reshape(seg.shape)
 
-    def __len__(self) -> int:
-        return self.length
-
     def tensors(self) -> list[Tensor]:
         return [t for _, t in self.entries]
 

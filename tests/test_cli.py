@@ -127,6 +127,9 @@ def test_negative_seed_flag_is_validation_error(tmp_path, cfg_path, capsys):
     ("--seed", "3,3", "repeated seed 3"),
     ("--strategy", "fish,fish", "repeated strategy fish"),
     ("--budget", "0.1,0.10000001", "repeated budget 0.1"),
+    ("--strategy", "", "strategy"),
+    ("--budget", "", "--budget"),
+    ("--seed", "", "--seed"),
 ])
 def test_compare_bad_list_is_validation_error(tmp_path, cfg_path, capsys,
                                               flag, value, message):
@@ -136,6 +139,14 @@ def test_compare_bad_list_is_validation_error(tmp_path, cfg_path, capsys,
     assert cli(argv) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "sw").exists()
+
+
+def test_single_run_refuses_a_list(tmp_path, cfg_path, capsys):
+    assert cli(["train", "--config", cfg_path, "--strategy", "fish,random",
+                "--out", str(tmp_path / "run")]) == 1
+    assert "--strategy: exactly one value expected, got 2" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_negative_seed_in_config_is_validation_error(tmp_path, cfg_path,
@@ -207,7 +218,7 @@ def test_flag_overrides_beat_config(tmp_path, cfg_path):
     out = str(tmp_path / "run")
     assert cli(["train", "--config", cfg_path, "--strategy", "random",
                 "--budget", "0.5", "--epochs", "1", "--seed", "9",
-                "--out", out]) == 0
+                "--lr", "0.25", "--out", out]) == 0
     doc = json.loads((tmp_path / "run" / "report.json").read_text())
     assert doc["strategy"] == "random"
     assert doc["seed"] == 9
@@ -215,6 +226,7 @@ def test_flag_overrides_beat_config(tmp_path, cfg_path):
     saved = json.loads((tmp_path / "run" / "config.json").read_text())
     assert saved["mask"]["budget"] == 0.5
     assert saved["model"]["seed"] == 9  # one seed drives the whole run
+    assert saved["train"]["lr"] == 0.25
 
 
 def test_method_layer_overrides(tmp_path, cfg_path):
@@ -224,6 +236,11 @@ def test_method_layer_overrides(tmp_path, cfg_path):
     saved = json.loads((tmp_path / "run" / "config.json").read_text())
     assert saved["peft"]["method"] == "ia3"
     assert saved["peft"]["target_layers"] == [1, 2]
+    assert cli(["train", "--config", cfg_path, "--method", "prefix",
+                "--prefix-len", "3", "--out", out]) == 0
+    saved = json.loads((tmp_path / "run" / "config.json").read_text())
+    assert saved["peft"]["method"] == "prefix"
+    assert saved["peft"]["prefix_len"] == 3
 
 
 def test_compare_writes_table(tmp_path, cfg_path, capsys):
@@ -284,6 +301,22 @@ def test_report_renders_stored_runs(tmp_path, cfg_path, capsys):
     rendered = capsys.readouterr().out
     assert rendered.splitlines()[0].startswith("strategy\tseed\tk")
     assert "fish" in rendered
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_report_renders_a_diverged_run(tmp_path, capsys):
+    # the first step overflows: epoch 1's eval loss is stored as NaN
+    path = tmp_path / "huge_lr.json"
+    path.write_text(json.dumps({"task": {"size": 32},
+                                "mask": {"strategy": "dense"},
+                                "train": {"epochs": 3, "lr": 1e37}}))
+    out = str(tmp_path / "run")
+    assert cli(["train", "--config", str(path), "--out", out]) == 0
+    assert "diverged=True" in capsys.readouterr().out
+    assert cli(["report", out]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split("\t")
+    assert row[4] == "nan"
+    assert row[-1] == " !"  # epoch 0 at the bottom, then the NaN
 
 
 def test_report_missing_path_is_validation_error(tmp_path):

@@ -144,6 +144,7 @@ def test_compare_rejects_empty_lists():
 @pytest.mark.parametrize("budgets, seeds, message", [
     ([0.5], [1.5], "seed: expected int, got 1.5"),
     (["0.5"], [3], "budget: expected a finite float, got '0.5'"),
+    ([0.5], [None], "seed: expected int, got None"),
 ])
 def test_compare_rejects_a_mistyped_value_before_any_cell_runs(
         tmp_path, budgets, seeds, message):

@@ -301,6 +301,20 @@ def test_early_stopping_on_flat_loss():
     assert len(report.records) == 3  # epoch 0 plus two flat epochs
 
 
+def test_early_stopping_counts_patience_from_the_best_loss(monkeypatch):
+    # epoch 2 improves on epoch 0: the count restarts there, so the run
+    # stops at epoch 4, not 3, and only once epochs 3 and 4 miss 0.5
+    losses = iter([1.0, 1.1, 0.5, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9])
+    monkeypatch.setattr("peftlab.optim.evaluate",
+                        lambda model, split: (next(losses), 0.0))
+    model, module, task, _ = training_setup()
+    tcfg = TrainConfig(epochs=8, batch_size=16, early_stop=True, patience=2,
+                       seed=5)
+    report = train(model, module, None, task, tcfg)
+    assert report.stopped_early_at == 4
+    assert [r.eval_loss for r in report.records] == [1.0, 1.1, 0.5, 0.9, 0.9]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_reported_not_raised():
     model, module, task, _ = training_setup()
