@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,6 +176,31 @@ def compute_ratios(model: TransformerModel, module: PeftModule,
     return k / total, k / length
 
 
+@contextmanager
+def _freeze_wholly_masked(view: ThetaTilde, mask: SparsityMask | None):
+    """For the length of the block, no tensor of ``view`` whose mask segment
+    holds no active coordinate requires grad; on exit each takes its flag
+    back, whether the block returns or raises.
+
+    Such a tensor's gradient would be zeroed before the step anyway. Frozen,
+    it takes no weight gradient, the tape records no node that only frozen
+    tensors feed, and a LoRA or Adapter branch whose up-projection ``B`` is
+    frozen at zero is not computed at all (see ``peft``). Each cotangent
+    that remains comes from the same ops; tests compare whole runs with and
+    without the freeze bit for bit.
+    """
+    frozen = [] if mask is None else [
+        t for seg, t in zip(view.segments, view.tensors())
+        if t.requires_grad and not mask.bits[seg.start:seg.stop].any()]
+    for t in frozen:
+        t.requires_grad = False
+    try:
+        yield
+    finally:
+        for t in frozen:
+            t.requires_grad = True
+
+
 def train(model: TransformerModel, module: PeftModule,
           mask: SparsityMask | None, task, tcfg: TrainConfig,
           config_hash: str = "") -> TrainReport:
@@ -186,7 +212,11 @@ def train(model: TransformerModel, module: PeftModule,
     Evaluation runs before training (epoch 0 record) and after every epoch;
     early stopping watches eval loss.
     A non-finite loss or update ends the run with ``diverged=True`` and the
-    records so far.
+    records so far; NumPy's overflow and invalid-value warnings stay quiet
+    while it runs.
+    While it runs, view tensors that ``mask`` leaves wholly inactive do not
+    require grad (see ``_freeze_wholly_masked``); their flags are back when
+    ``train`` returns or raises.
     """
     started = time.perf_counter()
     train_split, eval_split = task
@@ -202,53 +232,58 @@ def train(model: TransformerModel, module: PeftModule,
     strategy = mask.strategy if mask is not None else "dense"
     seed = tcfg.seed
 
-    records: list[EpochRecord] = []
-    eval_loss, eval_acc = evaluate(model, eval_split)
-    records.append(EpochRecord(0, None, eval_loss, eval_acc))
-
-    def report(diverged=False, stopped=None):
-        return TrainReport(records, ratio1, ratio2, strategy, seed,
-                           config_hash, time.perf_counter() - started,
-                           diverged=diverged, stopped_early_at=stopped)
-
-    steps_per_epoch = math.ceil(len(train_split) / tcfg.batch_size)
-    total_steps = max(tcfg.epochs * steps_per_epoch, 1)
-    rng = np.random.default_rng(tcfg.seed)
-    best_loss = eval_loss
-    since_best = 0
-    step_idx = 0
-    for epoch in range(1, tcfg.epochs + 1):
-        order = rng.permutation(len(train_split))
-        loss_sum = 0.0
-        seen = 0
-        for i in range(0, len(order), tcfg.batch_size):
-            idx = order[i:i + tcfg.batch_size]
-            batch = Batch(train_split.token_ids[idx], train_split.labels[idx])
-            for view, _, _ in trained:
-                view.zero_grads()
-            loss = T.log_softmax_nll(forward(model, batch), batch.labels)
-            value = loss.item()
-            if not np.isfinite(value):
-                return report(diverged=True)
-            T.backward(loss)
-            lr_now = tcfg.lr * max(0.0, 1.0 - step_idx / total_steps)
-            try:
-                for view, view_mask, state in trained:
-                    state.lr = lr_now
-                    step(view, view.grad_vector(), view_mask, state)
-            except NumericError:
-                return report(diverged=True)
-            loss_sum += value * len(batch)
-            seen += len(batch)
-            step_idx += 1
+    # overflow and NaN end the run as diverged=True, not as warnings
+    with _freeze_wholly_masked(module.theta_tilde(), mask), \
+            np.errstate(over="ignore", invalid="ignore"):
+        records: list[EpochRecord] = []
         eval_loss, eval_acc = evaluate(model, eval_split)
-        records.append(EpochRecord(epoch, loss_sum / seen, eval_loss, eval_acc))
-        if tcfg.early_stop:
-            if eval_loss < best_loss:
-                best_loss = eval_loss
-                since_best = 0
-            else:
-                since_best += 1
-                if since_best >= tcfg.patience:
-                    return report(stopped=epoch)
-    return report()
+        records.append(EpochRecord(0, None, eval_loss, eval_acc))
+
+        def report(diverged=False, stopped=None):
+            return TrainReport(records, ratio1, ratio2, strategy, seed,
+                               config_hash, time.perf_counter() - started,
+                               diverged=diverged, stopped_early_at=stopped)
+
+        steps_per_epoch = math.ceil(len(train_split) / tcfg.batch_size)
+        total_steps = max(tcfg.epochs * steps_per_epoch, 1)
+        rng = np.random.default_rng(tcfg.seed)
+        best_loss = eval_loss
+        since_best = 0
+        step_idx = 0
+        for epoch in range(1, tcfg.epochs + 1):
+            order = rng.permutation(len(train_split))
+            loss_sum = 0.0
+            seen = 0
+            for i in range(0, len(order), tcfg.batch_size):
+                idx = order[i:i + tcfg.batch_size]
+                batch = Batch(train_split.token_ids[idx],
+                              train_split.labels[idx])
+                for view, _, _ in trained:
+                    view.zero_grads()
+                loss = T.log_softmax_nll(forward(model, batch), batch.labels)
+                value = loss.item()
+                if not np.isfinite(value):
+                    return report(diverged=True)
+                T.backward(loss)
+                lr_now = tcfg.lr * max(0.0, 1.0 - step_idx / total_steps)
+                try:
+                    for view, view_mask, state in trained:
+                        state.lr = lr_now
+                        step(view, view.grad_vector(), view_mask, state)
+                except NumericError:
+                    return report(diverged=True)
+                loss_sum += value * len(batch)
+                seen += len(batch)
+                step_idx += 1
+            eval_loss, eval_acc = evaluate(model, eval_split)
+            records.append(EpochRecord(epoch, loss_sum / seen, eval_loss,
+                                       eval_acc))
+            if tcfg.early_stop:
+                if eval_loss < best_loss:
+                    best_loss = eval_loss
+                    since_best = 0
+                else:
+                    since_best += 1
+                    if since_best >= tcfg.patience:
+                        return report(stopped=epoch)
+        return report()

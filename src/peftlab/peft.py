@@ -261,6 +261,14 @@ def _plus(h: Tensor, delta: Tensor | None) -> Tensor:
     return h if delta is None else T.add(h, delta)
 
 
+def _frozen_at_zero(b: Tensor) -> bool:
+    """An up-projection that cannot move and holds only zeros: its branch
+    adds exactly zero and every cotangent it passes back is zero, so it need
+    not be computed. ``optim.train`` freezes a wholly masked ``B`` for the
+    run."""
+    return not b.requires_grad and not b.data.any()
+
+
 class LoraModule(PeftModule):
     """Low-rank additive branch: base(x) + scale * (x B) A."""
 
@@ -272,9 +280,10 @@ class LoraModule(PeftModule):
         super().__init__(cfg, records)
 
     def delta(self, layer, name, x):
-        """scale * (x B) A for the matrix ``name``, or None if untargeted."""
+        """scale * (x B) A for the matrix ``name``, or None if untargeted or
+        if B is frozen at zero."""
         b = self.params.get((layer, name, "B"))
-        if b is None:
+        if b is None or _frozen_at_zero(b):
             return None
         delta = T.matmul(T.matmul(x, b), self.params[(layer, name, "A")])
         return T.scale(delta, self.scale) if self.scale != 1.0 else delta
@@ -338,13 +347,15 @@ class AdapterModule(PeftModule):
 
     def delta(self, layer, name, h):
         """relu(h A^T) B^T on the output h of projection ``name``, or None
-        if no block follows it."""
+        if no block follows it or its B is frozen at zero."""
         point = _ADAPTER_POINTS.get(name)
         a = self.params.get((layer, point, "A"))
         if a is None:
             return None
-        return T.matmul(T.relu(T.matmul(h, T.transpose(a))),
-                        T.transpose(self.params[(layer, point, "B")]))
+        b = self.params[(layer, point, "B")]
+        if _frozen_at_zero(b):
+            return None
+        return T.matmul(T.relu(T.matmul(h, T.transpose(a))), T.transpose(b))
 
     def project(self, layer, name, x, w, b):
         h = super().project(layer, name, x, w, b)

@@ -303,7 +303,7 @@ def test_report_renders_stored_runs(tmp_path, cfg_path, capsys):
     assert "fish" in rendered
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_report_renders_a_diverged_run(tmp_path, capsys):
     # the first step overflows: epoch 1's eval loss is stored as NaN
     path = tmp_path / "huge_lr.json"

@@ -93,7 +93,7 @@ def test_reports_byte_identical_modulo_wall_time(tmp_path):
     assert metrics_a == metrics_b
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nonfinite_update_writes_diverged_report(tmp_path):
     out = str(tmp_path / "run")
     cfg = dataclasses.replace(

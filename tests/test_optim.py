@@ -1,18 +1,20 @@
 """Optimizers: reference oracles, mask immutability, training loop contracts."""
 
+import contextlib
 import ctypes
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from peftlab import optim
 from peftlab import tensor as T
 from peftlab.errors import ConfigError, ContractError, NumericError
-from peftlab.fisher import select
+from peftlab.fisher import budget_to_k, estimate_fisher, select
 from peftlab.model import Batch, ModelConfig, build_model, forward
 from peftlab.optim import (OptimizerState, TrainConfig, compute_ratios,
                            evaluate, step, train)
-from peftlab.peft import PeftConfig, ThetaTilde, attach
+from peftlab.peft import METHODS, PeftConfig, ThetaTilde, attach
 from peftlab.tasks import generate_task
 from peftlab.tensor import Tensor
 
@@ -315,7 +317,7 @@ def test_early_stopping_counts_patience_from_the_best_loss(monkeypatch):
     assert [r.eval_loss for r in report.records] == [1.0, 1.1, 0.5, 0.9, 0.9]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_divergence_reported_not_raised():
     model, module, task, _ = training_setup()
     tcfg = TrainConfig(lr=1e18, optimizer="sgd", epochs=5, batch_size=16,
@@ -325,7 +327,7 @@ def test_divergence_reported_not_raised():
     assert len(report.records) >= 1
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nonfinite_update_reported_not_raised():
     """An update that overflows while the loss is still finite ends the run
     the same way a non-finite loss does."""
@@ -335,6 +337,93 @@ def test_nonfinite_update_reported_not_raised():
     report = train(model, module, None, task, tcfg)
     assert report.diverged
     assert [r.epoch for r in report.records] == [0]
+
+
+def view_flags(module):
+    return [t.requires_grad for t in module.theta_tilde().tensors()]
+
+
+@pytest.mark.parametrize("ending", ["return", "diverged", "raise"])
+def test_train_restores_requires_grad(monkeypatch, ending):
+    """Tensors the mask leaves wholly inactive are frozen while train runs
+    and get their flags back however it ends."""
+    model, module, task, tcfg = training_setup()
+    if ending == "diverged":
+        tcfg = TrainConfig(lr=1e18, optimizer="sgd", epochs=5, batch_size=16,
+                           seed=5)
+    theta = module.theta_tilde()
+    # the first half of the view is masked out, whole tensors of it
+    mask = select(np.arange(theta.length, dtype=np.float32),
+                  theta.length // 2, "fish")
+    before = view_flags(module)
+    during = []
+    real_step = optim.step
+
+    def spy(view, grads, view_mask, state):
+        during.append(view_flags(module))
+        if ending == "raise":
+            raise RuntimeError("step failed")
+        real_step(view, grads, view_mask, state)
+
+    monkeypatch.setattr(optim, "step", spy)
+    if ending == "raise":
+        with pytest.raises(RuntimeError, match="step failed"):
+            train(model, module, mask, task, tcfg)
+    else:
+        report = train(model, module, mask, task, tcfg)
+        assert report.diverged == (ending == "diverged")
+    assert all(before)
+    assert during and not all(during[0])
+    assert view_flags(module) == before
+
+
+EQUIVALENCE_MODEL = ModelConfig(num_layers=2, hidden_dim=16, num_heads=2,
+                                ffn_dim=32, vocab_size=8, max_seq_len=4,
+                                num_classes=2, seed=11)
+
+
+def trained_bits(method, strategy, budget):
+    """Records, final view bytes and head bytes of a short run of
+    ``method`` under ``strategy`` at ``budget``, and whether the mask
+    leaves some view tensor wholly inactive."""
+    model = build_model(EQUIVALENCE_MODEL)
+    module = attach(model, PeftConfig(
+        method=method, rank=2, prefix_len=2,
+        target_weights=("W_Q", "W_K", "W_V", "W_O", "FFN"),
+        target_layers=(1, 2)))
+    task = generate_task("parity", 64, 11, vocab_size=8, seq_len=4,
+                         eval_size=32)
+    theta = module.theta_tilde()
+    scores = estimate_fisher(model, task[0], num_samples=32) \
+        if strategy in ("fish", "reverse") \
+        else np.zeros(theta.length, dtype=np.float32)
+    mask = select(scores, budget_to_k(theta.length, budget), strategy,
+                  seed=11)
+    report = train(model, module, mask, task,
+                   TrainConfig(lr=0.05, epochs=3, batch_size=16, seed=11))
+    dead = any(not mask.bits[seg.start:seg.stop].any()
+               for seg in theta.segments)
+    head = b"".join(t.data.tobytes() for _, t in model.head_parameters())
+    return report.records, theta.to_vector().tobytes(), head, dead
+
+
+@pytest.mark.parametrize("strategy, budget", [
+    ("fish", 0.01), ("random", 0.01), ("reverse", 0.01), ("dense", 0.01),
+    ("fish", 0.25)])
+@pytest.mark.parametrize("method", METHODS)
+def test_freezing_wholly_masked_tensors_changes_no_bit(monkeypatch, method,
+                                                       strategy, budget):
+    """Freezing the wholly masked view tensors for the run, and so skipping
+    the branches whose B is frozen at zero, leaves the records, the view and
+    the head bitwise as they are without it, although tape nodes drop out
+    (their cotangents are summed in another order) and a skipped ``h + 0``
+    keeps the sign of a zero."""
+    with_skip = trained_bits(method, strategy, budget)
+    monkeypatch.setattr(optim, "_freeze_wholly_masked",
+                        lambda view, mask: contextlib.nullcontext())
+    without = trained_bits(method, strategy, budget)
+    assert with_skip[:3] == without[:3]
+    assert with_skip[3] == (strategy != "dense")
 
 
 def test_train_config_validation():

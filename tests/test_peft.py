@@ -474,6 +474,27 @@ def test_unipelt_gates_lora_then_adapter_on_w_o():
     assert mod.project(1, "W_O", x, w, b).data.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("cfg, group, name", [
+    (PeftConfig(method="lora", rank=2, target_layers=(1,)), "W_Q", "W_Q"),
+    (PeftConfig(method="lora", rank=2, init="pissa", target_layers=(1,)),
+     "W_Q", "W_Q"),
+    (PeftConfig(method="adapter", rank=2, target_layers=(1,)),
+     "adapter_attn", "W_O")])
+def test_only_a_frozen_all_zero_b_drops_its_branch(cfg, group, name):
+    """A trainable zero B still computes its branch, and so does a frozen
+    nonzero B (the spectral init); a frozen zero B adds nothing and is
+    skipped."""
+    mod = attach(build_model(SMALL), cfg)
+    b = mod.params[(1, group, "B")]
+    zero = not b.data.any()
+    assert zero == (cfg.init == "standard")
+    x = T.Tensor(np.random.default_rng(0).normal(
+        size=(4, 6, 8)).astype(np.float32))
+    assert mod.delta(1, name, x) is not None
+    b.requires_grad = False
+    assert (mod.delta(1, name, x) is None) == zero
+
+
 # -- pissa ----------------------------------------------------------------------
 
 
