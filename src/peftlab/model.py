@@ -79,7 +79,8 @@ class Batch:
 class ForwardHooks:
     """Injection points for adapter modules; the defaults are the base model.
 
-    ``project`` computes every projection ``x @ w + b``: ``name`` is one of
+    ``project`` computes every projection ``x @ w + b`` (one
+    ``tensor.linear`` node by default): ``name`` is one of
     W_Q, W_K, W_V, W_O, FFN1, FFN2, and FFN2's input ``x`` is the relu'd
     FFN inner activation, so a module that rescales that activation or adds
     a block after a sublayer's output projection does it here. ``layer`` is
@@ -91,7 +92,7 @@ class ForwardHooks:
 
     def project(self, layer: int, name: str, x: Tensor, w: Tensor,
                 b: Tensor) -> Tensor:
-        return T.add(T.matmul(x, w), b)
+        return T.linear(x, w, b)
 
     def prefix_kv(self, layer: int):
         """Return (P_K, P_V, gate) with P_* shaped [H, l, head_dim], or None.
@@ -305,4 +306,4 @@ def forward(model: TransformerModel, batch: Batch) -> Tensor:
                          p[f"layer{li}/ln2_g"], p[f"layer{li}/ln2_b"])
 
     pooled = T.mean_axis(x, 1)
-    return T.add(T.matmul(pooled, p["head/W"]), p["head/b"])
+    return T.linear(pooled, p["head/W"], p["head/b"])

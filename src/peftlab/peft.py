@@ -257,10 +257,6 @@ def _low_rank_records(model: TransformerModel, cfg: PeftConfig,
     return scale, records
 
 
-def _plus(h: Tensor, delta: Tensor | None) -> Tensor:
-    return h if delta is None else T.add(h, delta)
-
-
 def _frozen_at_zero(b: Tensor) -> bool:
     """An up-projection that cannot move and holds only zeros: its branch
     adds exactly zero and every cotangent it passes back is zero, so it need
@@ -279,18 +275,26 @@ class LoraModule(PeftModule):
                                                 with_magnitude=False)
         super().__init__(cfg, records)
 
-    def delta(self, layer, name, x):
-        """scale * (x B) A for the matrix ``name``, or None if untargeted or
-        if B is frozen at zero."""
+    def _pair(self, layer, name):
+        """(B, A) of the matrix ``name``, or None if untargeted or if B is
+        frozen at zero."""
         b = self.params.get((layer, name, "B"))
         if b is None or _frozen_at_zero(b):
             return None
-        delta = T.matmul(T.matmul(x, b), self.params[(layer, name, "A")])
+        return b, self.params[(layer, name, "A")]
+
+    def delta(self, layer, name, x):
+        """scale * (x B) A for the matrix ``name``, or None (see ``_pair``).
+        UniPELT gates it; ``project`` fuses it into the projection."""
+        pair = self._pair(layer, name)
+        if pair is None:
+            return None
+        delta = T.matmul(T.matmul(x, pair[0]), pair[1])
         return T.scale(delta, self.scale) if self.scale != 1.0 else delta
 
     def project(self, layer, name, x, w, b):
-        base = super().project(layer, name, x, w, b)
-        return _plus(base, self.delta(layer, name, x))
+        pair = self._pair(layer, name) or (None, None)
+        return T.linear(x, w, b, *pair, scale=self.scale)
 
 
 class DoraModule(PeftModule):
@@ -320,7 +324,7 @@ class DoraModule(PeftModule):
                                f"directed weight has zero norm")
         norms = T.column_l2_norm(directed)
         w_eff = T.hadamard(directed, T.divide(m, norms))
-        return T.add(T.matmul(x, w_eff), b)
+        return T.linear(x, w_eff, b)
 
 
 # the projection each adapter block follows
@@ -359,7 +363,8 @@ class AdapterModule(PeftModule):
 
     def project(self, layer, name, x, w, b):
         h = super().project(layer, name, x, w, b)
-        return _plus(h, self.delta(layer, name, h))
+        delta = self.delta(layer, name, h)
+        return h if delta is None else T.add(h, delta)
 
 
 class PrefixModule(PeftModule):

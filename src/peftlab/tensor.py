@@ -18,7 +18,9 @@ its output and every op passes it on to its output, so the forward pass
 records which tensors carry examples. ``backward(loss, per_example=leaves)``
 uses the record to return each leaf's gradient per example; see there.
 Per-example code lives only where an input without the example axis meets
-an output with it (``_sum_to`` and ``matmul``); other pullbacks have none.
+an output with it: in ``_sum_to`` and in ``_matmul_cotangents``, the
+pullback of a product that ``matmul`` and ``linear`` share. Other pullbacks
+have none.
 
 Importing this module sets glibc's heap policy for the whole process (see
 ``_keep_freed_memory_mapped``). ``backward`` frees the tape as it goes, so
@@ -48,6 +50,7 @@ __all__ = [
     "no_grad",
     "backward",
     "matmul",
+    "linear",
     "add",
     "subtract",
     "hadamard",
@@ -394,6 +397,33 @@ def _backward_per_example(loss: Tensor, leaves: tuple[Tensor, ...]) -> list:
 # primitives
 
 
+def _matmul_cotangents(g64: np.ndarray, a: Tensor, a64: np.ndarray | None,
+                       need_a: bool, b: Tensor, b64: np.ndarray | None,
+                       need_b: bool) -> tuple:
+    """The cotangents ``g bᵀ`` and ``aᵀ g`` of a product ``a @ b`` whose
+    output cotangent is ``g64`` (float64), ``None`` for an operand that is
+    not needed. ``a64`` and ``b64`` are the float64 operand copies the
+    forward pass held, or None: an operand not held is cast from ``.data``
+    here.
+
+    The per-example boundary of a product: when ``a``'s rows are the
+    examples (2-D, with the example axis) and ``b`` has none, ``b`` gets
+    one outer product per example instead of their sum.
+    """
+    ga = gb = None
+    if need_a:
+        bt = b64 if b64 is not None else b.data.astype(np.float64)
+        ga = _sum_to(np.matmul(g64, np.swapaxes(bt, -1, -2)), a)
+    if need_b:
+        at = a64 if a64 is not None else a.data.astype(np.float64)
+        if _per_example and a.ndim == 2 and a.example_axis \
+                and not b.example_axis:
+            gb = _sum_to(at[:, :, None] * g64[:, None, :], b)
+        else:
+            gb = _sum_to(np.matmul(np.swapaxes(at, -1, -2), g64), b)
+    return ga, gb
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product with numpy batch broadcasting; float64 accumulation."""
     if a.ndim < 2 or b.ndim < 2:
@@ -408,22 +438,86 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     held_b = b64 if a.requires_grad else None
 
     def pull(g: np.ndarray):
-        g64 = g.astype(np.float64)
-        ga = gb = None
-        if a.requires_grad:
-            bt = held_b if held_b is not None else b.data.astype(np.float64)
-            ga = _sum_to(np.matmul(g64, np.swapaxes(bt, -1, -2)), a)
-        if b.requires_grad:
-            at = held_a if held_a is not None else a.data.astype(np.float64)
-            if _per_example and a.ndim == 2 and a.example_axis \
-                    and not b.example_axis:
-                # rows of a are examples: one outer product per example
-                gb = _sum_to(at[:, :, None] * g64[:, None, :], b)
-            else:
-                gb = _sum_to(np.matmul(np.swapaxes(at, -1, -2), g64), b)
-        return ga, gb
+        return _matmul_cotangents(g.astype(np.float64), a, held_a,
+                                  a.requires_grad, b, held_b, b.requires_grad)
 
     return _record("matmul", out, (a, b), pull)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor, B: Tensor | None = None,
+           A: Tensor | None = None, scale: float = 1.0) -> Tensor:
+    """A projection ``x @ w + b``, plus ``scale * ((x @ B) @ A)`` when a
+    low-rank pair is given, recorded as one node.
+
+    Forward and backward do the arithmetic of the op chain
+    ``add(add(matmul(x, w), b), scale(matmul(matmul(x, B), A), scale))``
+    (no ``scale`` at 1.0): the same float64 products, rounded to float32 at
+    the same points and added in the same order, so the result is bitwise
+    that of the chain. ``x`` is cast to float64 once, and each float64 copy
+    is held only for a cotangent that uses it.
+
+    With the pair, the node's inputs are ``(x, w, b, x, B, A)``: ``x``
+    takes the ``w`` product's cotangent in the first slot and the low-rank
+    path's in the fourth, so backward adds them onto ``x``'s running sum
+    one after the other, as it did for the chain's two products.
+    """
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"linear needs x [..., d] @ w [d, f], got {x.shape} "
+                         f"@ {w.shape}")
+    if b.shape != w.shape[1:]:
+        raise ShapeError(f"linear bias {b.shape} does not match w {w.shape}")
+    if (B is None) != (A is None):
+        raise ContractError("linear takes both factors of a low-rank pair "
+                            "or neither")
+    low_rank = B is not None
+    if low_rank:
+        r = B.shape[-1]
+        if B.shape != (w.shape[0], r) or A.shape != (r, w.shape[1]):
+            raise ShapeError(f"linear low-rank pair {B.shape} @ {A.shape} "
+                             f"does not fit w {w.shape}")
+    x64 = x.data.astype(np.float64)
+    w64 = w.data.astype(np.float64)
+    out = np.matmul(x64, w64).astype(np.float32)
+    out += b.data
+    held_x = x64 if w.requires_grad or (low_rank and B.requires_grad) else None
+    held_w = w64 if x.requires_grad else None
+    if low_rank:
+        s32 = np.float32(scale)
+        B64 = B.data.astype(np.float64)
+        A64 = A.data.astype(np.float64)
+        # x @ B, never on the tape: the pullback reads its shape and axis
+        u = Tensor(np.matmul(x64, B64).astype(np.float32))
+        u.example_axis = x.example_axis
+        u64 = u.data.astype(np.float64)
+        v = np.matmul(u64, A64).astype(np.float32)
+        if scale != 1.0:
+            v *= s32
+        out += v
+        held_B = B64 if x.requires_grad else None
+        held_A = A64 if x.requires_grad or B.requires_grad else None
+        held_u = u64 if A.requires_grad else None
+
+    def pull(g: np.ndarray):
+        g64 = g.astype(np.float64)
+        gx, gw = _matmul_cotangents(g64, x, held_x, x.requires_grad,
+                                    w, held_w, w.requires_grad)
+        gb = _sum_to(g, b) if b.requires_grad else None
+        if not low_rank:
+            return gx, gw, gb
+        gxB = gB = gA = None
+        need_u = x.requires_grad or B.requires_grad
+        if need_u or A.requires_grad:
+            gv64 = (g * s32).astype(np.float64) if scale != 1.0 else g64
+            gu, gA = _matmul_cotangents(gv64, u, held_u, need_u,
+                                        A, held_A, A.requires_grad)
+            if gu is not None:
+                gxB, gB = _matmul_cotangents(gu.astype(np.float64), x, held_x,
+                                             x.requires_grad, B, held_B,
+                                             B.requires_grad)
+        return gx, gw, gb, gxB, gB, gA
+
+    inputs = (x, w, b, x, B, A) if low_rank else (x, w, b)
+    return _record("linear", out, inputs, pull)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -706,7 +800,7 @@ def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
 
     def pull(g: np.ndarray):
         gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.shape).astype(np.float32).copy(),)
+        return (np.broadcast_to(gg, a.shape).astype(np.float32),)
 
     return _record("sum_axis", out.astype(np.float32), (a,), pull)
 

@@ -1,6 +1,7 @@
 """Shared test utilities: central-difference gradients and gradient checking,
-the batch-1 loss that sequential oracles are built from, and a fresh
-interpreter for checks that this process's state would spoil."""
+the op chain ``tensor.linear`` fuses, the batch-1 loss that sequential
+oracles are built from, and a fresh interpreter for checks that this
+process's state would spoil."""
 
 from __future__ import annotations
 
@@ -91,6 +92,16 @@ def check_grads(build, arrays, seed, rtol=1e-3, step=1e-3):
         assert grad_close(leaf.grad, fd.data, rtol=rtol), (
             f"input {i}: backward disagrees with finite differences\n"
             f"backward={leaf.grad}\nfinite_diff={fd.data}")
+
+
+def linear_chain(x, w, b, B=None, A=None, scale=1.0):
+    """``tensor.linear`` as the chain of primitives it fuses: the reference
+    its bits are pinned against."""
+    out = T.add(T.matmul(x, w), b)
+    if B is None:
+        return out
+    delta = T.matmul(T.matmul(x, B), A)
+    return T.add(out, T.scale(delta, scale) if scale != 1.0 else delta)
 
 
 def example_nll(model, row, label):

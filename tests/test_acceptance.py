@@ -79,6 +79,11 @@ def _primitive_cases(seed):
     r = np.random.default_rng
     return [
         ("matmul", [(3, 4), (4, 2)], lambda a, b: T.matmul(a, b), False),
+        ("linear", [(2, 2, 3), (3, 4), (4,)],
+         lambda x, w, b: T.linear(x, w, b), False),
+        ("linear_low_rank", [(2, 2, 3), (3, 4), (4,), (3, 2), (2, 4)],
+         lambda x, w, b, bb, aa: T.linear(x, w, b, bb, aa, scale=0.75),
+         False),
         ("add", [(3, 4), (4,)], lambda a, b: T.add(a, b), False),
         ("subtract", [(3, 4), (3, 1)], lambda a, b: T.subtract(a, b), False),
         ("hadamard", [(2, 5), (2, 5)], lambda a, b: T.hadamard(a, b), False),

@@ -18,7 +18,7 @@ from peftlab.peft import METHODS, PeftConfig, ThetaTilde, attach
 from peftlab.tasks import generate_task
 from peftlab.tensor import Tensor
 
-from helpers import base_tensors, run_fresh
+from helpers import base_tensors, linear_chain, run_fresh
 
 SMALL = ModelConfig(num_layers=1, hidden_dim=8, num_heads=2, ffn_dim=16,
                     vocab_size=8, max_seq_len=6, num_classes=2, seed=5)
@@ -382,20 +382,21 @@ EQUIVALENCE_MODEL = ModelConfig(num_layers=2, hidden_dim=16, num_heads=2,
                                 num_classes=2, seed=11)
 
 
-def trained_bits(method, strategy, budget):
+def trained_bits(method, strategy, budget, init="standard"):
     """Records, final view bytes and head bytes of a short run of
-    ``method`` under ``strategy`` at ``budget``, and whether the mask
-    leaves some view tensor wholly inactive."""
+    ``method`` under ``strategy`` at ``budget``, whether the mask leaves
+    some view tensor wholly inactive, and the bytes of the scores taken
+    before training (the mask uses them under fish and reverse)."""
     model = build_model(EQUIVALENCE_MODEL)
     module = attach(model, PeftConfig(
-        method=method, rank=2, prefix_len=2,
+        method=method, rank=2, prefix_len=2, init=init,
         target_weights=("W_Q", "W_K", "W_V", "W_O", "FFN"),
         target_layers=(1, 2)))
     task = generate_task("parity", 64, 11, vocab_size=8, seq_len=4,
                          eval_size=32)
     theta = module.theta_tilde()
-    scores = estimate_fisher(model, task[0], num_samples=32) \
-        if strategy in ("fish", "reverse") \
+    est = estimate_fisher(model, task[0], num_samples=32)
+    scores = est if strategy in ("fish", "reverse") \
         else np.zeros(theta.length, dtype=np.float32)
     mask = select(scores, budget_to_k(theta.length, budget), strategy,
                   seed=11)
@@ -404,7 +405,8 @@ def trained_bits(method, strategy, budget):
     dead = any(not mask.bits[seg.start:seg.stop].any()
                for seg in theta.segments)
     head = b"".join(t.data.tobytes() for _, t in model.head_parameters())
-    return report.records, theta.to_vector().tobytes(), head, dead
+    return (report.records, theta.to_vector().tobytes(), head, dead,
+            est.scores.tobytes())
 
 
 @pytest.mark.parametrize("strategy, budget", [
@@ -424,6 +426,21 @@ def test_freezing_wholly_masked_tensors_changes_no_bit(monkeypatch, method,
     without = trained_bits(method, strategy, budget)
     assert with_skip[:3] == without[:3]
     assert with_skip[3] == (strategy != "dense")
+
+
+@pytest.mark.parametrize("method, init, strategy", [
+    *(("lora", init, strategy) for init in ("standard", "pissa")
+      for strategy in ("fish", "random", "reverse", "dense")),
+    *((method, "standard", "dense") for method in METHODS if method != "lora")])
+def test_fused_projection_changes_no_bit(monkeypatch, method, init, strategy):
+    """Every projection, the head's included, is one ``tensor.linear`` node,
+    which LoRA's branch joins unless its B is frozen at zero. Run as the op
+    chain it fuses instead, scoring and training give the same scores,
+    records, view and head, bit for bit."""
+    fused = trained_bits(method, strategy, 0.01, init)
+    monkeypatch.setattr(T, "linear", linear_chain)
+    chain = trained_bits(method, strategy, 0.01, init)
+    assert fused == chain
 
 
 def test_train_config_validation():

@@ -495,6 +495,27 @@ def test_only_a_frozen_all_zero_b_drops_its_branch(cfg, group, name):
     assert (mod.delta(1, name, x) is None) == zero
 
 
+def test_a_lora_forward_records_one_node_per_projection():
+    """Each projection, the head's included, is one ``linear`` node, and a
+    LoRA branch joins its projection's node unless its B is frozen at zero;
+    only attention's two products stay ``matmul`` nodes."""
+    m = build_model(SMALL)
+    mod = attach(m, PeftConfig(
+        method="lora", rank=2, target_layers=(1, 2),
+        target_weights=("W_Q", "W_K", "W_V", "W_O", "FFN")))
+
+    def projection_inputs():
+        batch = small_batch()
+        loss = T.log_softmax_nll(forward(m, batch), batch.labels)
+        nodes = [t.node for t in T._topo_order(loss)]
+        return (sorted(len(n.inputs) for n in nodes if n.op == "linear"),
+                sum(n.op == "matmul" for n in nodes))
+
+    assert projection_inputs() == ([3] + [6] * 12, 4)
+    mod.params[(1, "W_Q", "B")].requires_grad = False
+    assert projection_inputs() == ([3] * 2 + [6] * 11, 4)
+
+
 # -- pissa ----------------------------------------------------------------------
 
 

@@ -9,7 +9,7 @@ from peftlab import tensor as T
 from peftlab.errors import ContractError, GraphError, NumericError, ShapeError
 
 from helpers import (check_grads, finite_diff_grad, grad_close,
-                     random_inputs, scalar_sum)
+                     linear_chain, random_inputs, scalar_sum)
 
 N_SEEDS = 20
 
@@ -172,6 +172,9 @@ MIXED_CASES = {
     "divide": (T.divide, [(4, 3), (1, 3)]),
     "layer_norm": (T.layer_norm, [(2, 3, 6), (6,), (6,)]),
     "concat": (lambda *ts: T.concat(ts, axis=1), [(2, 3, 4), (2, 2, 4), (2, 1, 4)]),
+    "linear": (T.linear, [(2, 3, 4), (4, 5), (5,)]),
+    "linear_low_rank": (lambda *ts: T.linear(*ts, scale=0.5),
+                        [(2, 3, 4), (4, 5), (5,), (4, 2), (2, 5)]),
 }
 
 
@@ -186,20 +189,26 @@ def test_frozen_input_gets_no_cotangent_and_the_rest_keep_their_bits(case):
         out = build(*leaves)
         g = np.random.default_rng(9).uniform(-1, 1, out.shape).astype(np.float32)
         raw = out.node.pullback(g)
+        # the leaf behind each input slot (linear takes x in two slots)
+        ids = [id(leaf) for leaf in leaves]
+        slots = [ids.index(id(t)) for t in out.node.inputs]
         T.backward(scalar_sum(T.hadamard(out, T.Tensor(g))))
-        return leaves, raw
+        return leaves, slots, raw
 
-    full, full_raw = run(frozen=None)
+    full, _, full_raw = run(frozen=None)
     for frozen in range(len(arrays)):
-        leaves, raw = run(frozen)
-        assert raw[frozen] is None
-        assert leaves[frozen].grad is None
+        leaves, slots, raw = run(frozen)
+        for slot, (i, got) in enumerate(zip(slots, raw)):
+            if i == frozen:
+                assert got is None, (frozen, slot)
+            else:
+                assert got.dtype == np.float32
+                assert got.tobytes() == full_raw[slot].tobytes(), (frozen, slot)
         for i, leaf in enumerate(leaves):
             if i == frozen:
-                continue
-            assert raw[i].dtype == np.float32
-            assert raw[i].tobytes() == full_raw[i].tobytes(), (frozen, i)
-            assert leaf.grad.tobytes() == full[i].grad.tobytes(), (frozen, i)
+                assert leaf.grad is None
+            else:
+                assert leaf.grad.tobytes() == full[i].grad.tobytes(), (frozen, i)
 
 
 def test_matmul_holds_no_copy_of_an_operand_no_cotangent_uses():
@@ -223,6 +232,93 @@ def test_matmul_holds_no_copy_of_an_operand_no_cotangent_uses():
     ga, gb = out.node.pullback(g)
     assert ga.tobytes() == want_a.tobytes()
     assert gb.tobytes() == want_b.tobytes()
+
+
+LINEAR_SHAPES = [(3, 4, 6), (6, 6), (6,), (6, 2), (2, 6)]  # x, w, b, B, A
+
+
+def _projection_graph(project, x0, w, b, pair, scale, w2, b2):
+    """x feeds a low-rank projection, a second projection and a residual
+    add, so its cotangent is a running sum the slots must join in order."""
+    x = T.hadamard(x0, x0)
+    q = project(x, w, b, *pair, scale=scale)
+    k = project(x, w2, b2)
+    return T.add(x, T.hadamard(q, k))
+
+
+@pytest.mark.parametrize("scale", [0.5, 1.0])
+@pytest.mark.parametrize("low_rank", [True, False])
+@pytest.mark.parametrize("interior", [True, False])
+def test_linear_matches_the_op_chain_bit_for_bit(interior, low_rank, scale):
+    arrays = random_inputs(LINEAR_SHAPES + [(6, 6), (6,)], seed=12)
+    g = np.random.default_rng(13).uniform(
+        -1, 1, LINEAR_SHAPES[0]).astype(np.float32)
+
+    def run(project):
+        x, w, b, B, A, w2, b2 = (T.Tensor(a, requires_grad=True)
+                                 for a in arrays)
+        pair = (B, A) if low_rank else ()
+        used = (x, w, b) + pair
+        if interior:
+            out = _projection_graph(project, x, w, b, pair, scale, w2, b2)
+            used += (w2, b2)
+        else:
+            out = project(x, w, b, *pair, scale=scale)
+        T.backward(scalar_sum(T.hadamard(out, T.Tensor(g))))
+        return [out.data] + [t.grad for t in used]
+
+    fused, chain = run(T.linear), run(linear_chain)
+    assert len(fused) == len(chain)
+    for i, (got, want) in enumerate(zip(fused, chain)):
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.tobytes(), i
+
+
+def test_linear_records_one_node_with_x_in_two_slots():
+    x, w, b, B, A = (T.Tensor(a, requires_grad=True)
+                     for a in random_inputs(LINEAR_SHAPES, seed=1))
+    out = T.linear(x, w, b, B, A, scale=2.0)
+    assert out.node.op == "linear"
+    assert [id(t) for t in out.node.inputs] == [id(t) for t in (x, w, b, x, B, A)]
+    with pytest.raises(ContractError, match="both factors"):
+        T.linear(x, w, b, B)
+    with pytest.raises(ShapeError, match="low-rank pair"):
+        T.linear(x, w, b, A, B)
+    with pytest.raises(ShapeError, match="bias"):
+        T.linear(x, w, B)
+
+
+def test_linear_holds_no_copy_of_an_operand_no_cotangent_uses():
+    rng = np.random.default_rng(4)
+    x = T.Tensor(rng.normal(size=(32, 4, 16)), requires_grad=True)
+    w = T.Tensor(rng.normal(size=(16, 8)))  # frozen, as W0 is
+    b = T.Tensor(rng.normal(size=8))
+    B = T.Tensor(rng.normal(size=(16, 2)))  # a frozen, live down-projection
+    A = T.Tensor(rng.normal(size=(2, 8)), requires_grad=True)
+    for pair in ((), (B, A)):
+        out = T.linear(x, w, b, *pair, scale=0.5)
+        held = []
+        for cell in out.node.pullback.__closure__:
+            try:
+                held.append(cell.cell_contents)
+            except ValueError:  # set only when the pair is given
+                pass
+        assert not any(isinstance(v, np.ndarray) and v.dtype == np.float64
+                       and v.size == x.size for v in held)
+
+        g = rng.uniform(-1, 1, out.shape).astype(np.float32)
+        got = out.node.pullback(g)
+        leaves = [T.Tensor(t.data, requires_grad=True) for t in (x, w, b) + pair]
+        want = T.linear(*leaves, scale=0.5).node.pullback(g)
+        for i, t in enumerate(out.node.inputs):
+            if t.requires_grad:
+                assert got[i].tobytes() == want[i].tobytes(), i
+            else:
+                assert got[i] is None, i
+        # w starts requiring grad after the forward: x is recast from .data
+        w.requires_grad = True
+        assert out.node.pullback(g)[1].tobytes() == want[1].tobytes()
+        w.requires_grad = False
 
 
 def _marked(rows):
@@ -269,6 +365,33 @@ def test_per_example_backward_equals_batch1_passes():
         assert gw[i].tobytes() == w.grad.tobytes()
         assert gv[i].tobytes() == v.grad.tobytes()
         w.grad = v.grad = other.grad = None
+
+
+def test_per_example_linear_equals_batch1_passes():
+    """Both per-example boundaries a projection has: a 3-D input's weight
+    cotangents keep the example axis, and a 2-D one's are outer products."""
+    rng = np.random.default_rng(8)
+    w, b, B, A = (T.Tensor(rng.normal(size=s), requires_grad=True)
+                  for s in [(4, 4), (4,), (4, 2), (2, 4)])
+    head_w, head_b = (T.Tensor(rng.normal(size=s), requires_grad=True)
+                      for s in [(4, 3), (3,)])
+    w.requires_grad = False  # frozen, as W0 is
+    rows = rng.normal(size=(5, 2, 4)).astype(np.float32)
+    labels = rng.integers(0, 3, size=5)
+    leaves = [b, B, A, head_w, head_b]
+
+    def loss_of(r, y):
+        h = T.linear(_marked(r), w, b, B, A, scale=0.5)
+        logits = T.linear(T.mean_axis(h, 1), head_w, head_b)
+        return T.log_softmax_nll(logits, y, "sum")
+
+    per = T.backward(loss_of(rows, labels), per_example=leaves)
+    assert [g.shape[0] for g in per] == [5] * len(leaves)
+    for i in range(5):
+        T.backward(loss_of(rows[i:i + 1], labels[i:i + 1]))
+        for got, leaf in zip(per, leaves):
+            assert got[i].tobytes() == leaf.grad.tobytes()
+            leaf.grad = None
 
 
 def test_per_example_backward_runs_batch1_pullbacks_on_parameter_only_nodes():
