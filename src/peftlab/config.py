@@ -82,8 +82,8 @@ def from_dict(data: dict) -> ExperimentConfig:
     return _build(ExperimentConfig, data, "config")
 
 
-def to_json(cfg: ExperimentConfig, indent: int | None = 2) -> str:
-    return json.dumps(to_dict(cfg), indent=indent, sort_keys=True)
+def to_json(cfg: ExperimentConfig) -> str:
+    return json.dumps(to_dict(cfg), indent=2, sort_keys=True)
 
 
 def from_json(text: str) -> ExperimentConfig:

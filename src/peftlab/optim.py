@@ -1,18 +1,19 @@
 """Mask-aware optimizers and the training loop.
 
-The contract that everything downstream leans on: gradients are masked
-*before* they reach the moment buffers, updates are applied only at active
-coordinates, and decoupled weight decay sees active coordinates only. A
-masked coordinate therefore keeps its initial bits forever and its Adam
-moments stay exactly zero, while a dense mask is bit-for-bit the same as
-running with no mask at all.
+The contract that everything downstream leans on: a step reads, updates and
+writes the active coordinates only, of the gradient, both Adam moments, the
+decoupled weight decay and the value. A masked coordinate therefore keeps
+its initial bits forever and its Adam moments stay exactly zero, whatever
+its gradient holds, while a dense mask is bit-for-bit the same as running
+with no mask at all. While ``train`` runs, view tensors the mask leaves
+wholly inactive are held under ``tensor.frozen``, so backward computes no
+gradient for them.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from . import _schema as schema
 from . import tensor as T
 from .errors import ConfigError, ContractError, NumericError
-from .fisher import SparsityMask, mask_gradients
+from .fisher import SparsityMask
 from .model import Batch, TransformerModel, forward
 from .peft import PeftModule, ThetaTilde
 
@@ -72,9 +73,10 @@ def step(params: ThetaTilde, grads: np.ndarray, mask: SparsityMask | None,
          state: OptimizerState) -> None:
     """One update of the flat view at the currently scheduled state.lr.
 
-    The update is written in place into the view's buffer. Masked
-    coordinates are bitwise untouched: their gradient is zeroed before the
-    moments update, and the write indexes active coordinates only.
+    The update is written in place into the view's buffer. Under a mask,
+    the step gathers the active coordinates of the gradient, the moments
+    and the value, updates them and scatters them back; masked coordinates
+    are never read or written.
     """
     g = np.asarray(grads, dtype=np.float32)
     if g.shape != (params.length,):
@@ -84,27 +86,27 @@ def step(params: ThetaTilde, grads: np.ndarray, mask: SparsityMask | None,
         if len(mask) != params.length:
             raise ContractError(f"mask length {len(mask)} does not match view "
                                 f"length {params.length}")
-        g = mask_gradients(g, mask)
         active = mask.active_indices()
     else:
         active = slice(None)
+    g = g[active]
 
     cfg = state.cfg
     if cfg.optimizer == "sgd":
-        update = state.lr * g
+        delta = state.lr * g
     else:
         state.step_count += 1
-        m, v = state.exp_avg, state.exp_avg_sq
+        m, v = state.exp_avg[active], state.exp_avg_sq[active]
         m *= cfg.beta1
         m += (1.0 - cfg.beta1) * g
         v *= cfg.beta2
         v += (1.0 - cfg.beta2) * (g * g)
+        state.exp_avg[active], state.exp_avg_sq[active] = m, v
         corr1 = 1.0 - cfg.beta1 ** state.step_count
         corr2 = 1.0 - cfg.beta2 ** state.step_count
-        update = state.lr * (m / corr1) / (np.sqrt(v / corr2) + cfg.eps)
+        delta = state.lr * (m / corr1) / (np.sqrt(v / corr2) + cfg.eps)
 
     vec = params.data
-    delta = update[active]
     if cfg.weight_decay:
         delta = delta + (state.lr * cfg.weight_decay) * vec[active]
     if not np.all(np.isfinite(delta)):
@@ -176,31 +178,6 @@ def compute_ratios(model: TransformerModel, module: PeftModule,
     return k / total, k / length
 
 
-@contextmanager
-def _freeze_wholly_masked(view: ThetaTilde, mask: SparsityMask | None):
-    """For the length of the block, no tensor of ``view`` whose mask segment
-    holds no active coordinate requires grad; on exit each takes its flag
-    back, whether the block returns or raises.
-
-    Such a tensor's gradient would be zeroed before the step anyway. Frozen,
-    it takes no weight gradient, the tape records no node that only frozen
-    tensors feed, and a LoRA or Adapter branch whose up-projection ``B`` is
-    frozen at zero is not computed at all (see ``peft``). Each cotangent
-    that remains comes from the same ops; tests compare whole runs with and
-    without the freeze bit for bit.
-    """
-    frozen = [] if mask is None else [
-        t for seg, t in zip(view.segments, view.tensors())
-        if t.requires_grad and not mask.bits[seg.start:seg.stop].any()]
-    for t in frozen:
-        t.requires_grad = False
-    try:
-        yield
-    finally:
-        for t in frozen:
-            t.requires_grad = True
-
-
 def train(model: TransformerModel, module: PeftModule,
           mask: SparsityMask | None, task, tcfg: TrainConfig,
           config_hash: str = "") -> TrainReport:
@@ -215,26 +192,34 @@ def train(model: TransformerModel, module: PeftModule,
     records so far; NumPy's overflow and invalid-value warnings stay quiet
     while it runs.
     While it runs, view tensors that ``mask`` leaves wholly inactive do not
-    require grad (see ``_freeze_wholly_masked``); their flags are back when
-    ``train`` returns or raises.
+    require grad (``tensor.frozen``); their flags are back when ``train``
+    returns or raises. Frozen, such a tensor takes no weight gradient, the
+    tape records no node that only frozen tensors feed, and a LoRA or
+    Adapter branch whose up-projection ``B`` is frozen at zero is not
+    computed at all (see ``peft``). Each cotangent that remains comes from
+    the same ops; tests compare whole runs with and without the freeze bit
+    for bit.
     """
     started = time.perf_counter()
     train_split, eval_split = task
     if not len(train_split):
         raise ContractError("train on an empty dataset")
 
+    theta = module.theta_tilde()
     # (view, mask, state): the masked adapter view, then the dense head
     trained = [(view, view_mask, OptimizerState(tcfg, view.length))
-               for view, view_mask in ((module.theta_tilde(), mask),
+               for view, view_mask in ((theta, mask),
                                        (ThetaTilde(model.head_parameters()),
                                         None))]
     ratio1, ratio2 = compute_ratios(model, module, mask)
     strategy = mask.strategy if mask is not None else "dense"
     seed = tcfg.seed
+    inactive = [] if mask is None else [
+        t for seg, t in zip(theta.segments, theta.tensors())
+        if not mask.bits[seg.start:seg.stop].any()]
 
     # overflow and NaN end the run as diverged=True, not as warnings
-    with _freeze_wholly_masked(module.theta_tilde(), mask), \
-            np.errstate(over="ignore", invalid="ignore"):
+    with T.frozen(inactive), np.errstate(over="ignore", invalid="ignore"):
         records: list[EpochRecord] = []
         eval_loss, eval_acc = evaluate(model, eval_split)
         records.append(EpochRecord(0, None, eval_loss, eval_acc))

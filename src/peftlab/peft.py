@@ -316,13 +316,12 @@ class DoraModule(PeftModule):
         if self.scale != 1.0:
             delta = T.scale(delta, self.scale)
         directed = T.add(w, delta)
-        cols64 = directed.data.astype(np.float64)
-        norms_now = np.sqrt((cols64 * cols64).sum(axis=0))
-        if np.any(norms_now == 0.0):
-            col = int(np.argmax(norms_now == 0.0))
-            raise NumericError(f"layer {layer} {name}: column {col} of the "
-                               f"directed weight has zero norm")
         norms = T.column_l2_norm(directed)
+        zero = norms.data[0] == 0.0
+        if zero.any():
+            raise NumericError(f"layer {layer} {name}: column "
+                               f"{int(np.argmax(zero))} of the directed "
+                               f"weight has zero norm")
         w_eff = T.hadamard(directed, T.divide(m, norms))
         return T.linear(x, w_eff, b)
 

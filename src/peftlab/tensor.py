@@ -39,7 +39,8 @@ may record or run backward concurrently with them. Tensors with
 from __future__ import annotations
 
 import ctypes
-from typing import Callable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -48,6 +49,7 @@ from .errors import ContractError, GraphError, NumericError, ShapeError
 __all__ = [
     "Tensor",
     "no_grad",
+    "frozen",
     "backward",
     "matmul",
     "linear",
@@ -122,6 +124,21 @@ class no_grad:
         global _grad_enabled
         _grad_enabled = self._prev
         return False
+
+
+@contextmanager
+def frozen(tensors: Iterable[Tensor]):
+    """Context manager under which none of ``tensors`` requires grad. On
+    exit, whether the block returns or raises, it turns back on only the
+    flags it turned off: a tensor frozen before the block stays frozen."""
+    turned = [t for t in tensors if t.requires_grad]
+    for t in turned:
+        t.requires_grad = False
+    try:
+        yield
+    finally:
+        for t in turned:
+            t.requires_grad = True
 
 
 class Tensor:
@@ -380,16 +397,12 @@ def _backward_per_example(loss: Tensor, leaves: tuple[Tensor, ...]) -> list:
     tape = {id(i): i for t in order for i in t.node.inputs}
     tape.update((id(t), t) for t in order)
     # pullbacks skip inputs that do not require grad: hide the rest
-    hidden = [t for k, t in tape.items() if t.requires_grad and k not in needed]
-    for t in hidden:
-        t.requires_grad = False
-    _per_example = True
-    try:
-        cotangents = _replay(loss, order)
-    finally:
-        _per_example = False
-        for t in hidden:
-            t.requires_grad = True
+    with frozen(t for k, t in tape.items() if k not in needed):
+        _per_example = True
+        try:
+            cotangents = _replay(loss, order)
+        finally:
+            _per_example = False
     return [cotangents.get(id(t)) for t in leaves]
 
 

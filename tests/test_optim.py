@@ -68,21 +68,30 @@ def test_adamw_matches_reference(wd):
     np.testing.assert_allclose(view.to_vector(), want, atol=1e-6)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_masked_coordinates_bitwise_frozen_and_moments_zero():
-    rng = np.random.default_rng(4)
-    init = rng.normal(size=40).astype(np.float32)
-    view = view_of(init)
-    mask = select(rng.uniform(size=40).astype(np.float32), 13, "fish")
-    state = OptimizerState(TrainConfig(optimizer="adamw", lr=0.01,
-                                       weight_decay=0.1), 40)
-    for _ in range(50):
-        step(view, rng.normal(size=40).astype(np.float32), mask, state)
-    out = view.to_vector()
-    frozen = mask.bits == 0
-    assert out[frozen].tobytes() == init[frozen].tobytes()
-    assert not np.array_equal(out[~frozen], init[~frozen])
-    assert np.all(state.exp_avg[frozen] == 0.0)
-    assert np.all(state.exp_avg_sq[frozen] == 0.0)
+    """The step never reads a masked coordinate: under adamw with and
+    without weight decay and under sgd with it, a nan or inf gradient there
+    raises nothing, and masked values and moments keep their bits."""
+    for optimizer, wd in (("adamw", 0.1), ("adamw", 0.0), ("sgd", 0.1)):
+        rng = np.random.default_rng(4)
+        init = rng.normal(size=40).astype(np.float32)
+        view = view_of(init)
+        mask = select(rng.uniform(size=40).astype(np.float32), 13, "fish")
+        frozen = mask.bits == 0
+        state = OptimizerState(TrainConfig(optimizer=optimizer, lr=0.01,
+                                           weight_decay=wd), 40)
+        for i in range(50):
+            g = rng.normal(size=40).astype(np.float32)
+            g[frozen] = (np.nan, np.inf, -np.inf)[i % 3]
+            step(view, g, mask, state)
+        out = view.to_vector()
+        assert out[frozen].tobytes() == init[frozen].tobytes(), optimizer
+        assert not np.array_equal(out[~frozen], init[~frozen]), optimizer
+        if optimizer == "adamw":
+            zeros = np.zeros(int(frozen.sum()), dtype=np.float32).tobytes()
+            assert state.exp_avg[frozen].tobytes() == zeros
+            assert state.exp_avg_sq[frozen].tobytes() == zeros
 
 
 def test_dense_mask_bitwise_equals_no_mask():
@@ -419,12 +428,14 @@ def test_freezing_wholly_masked_tensors_changes_no_bit(monkeypatch, method,
     the branches whose B is frozen at zero, leaves the records, the view and
     the head bitwise as they are without it, although tape nodes drop out
     (their cotangents are summed in another order) and a skipped ``h + 0``
-    keeps the sign of a zero."""
+    keeps the sign of a zero. The null ``frozen`` also leaves the score
+    pass's tensors that lead to no view leaf unhidden; the scores keep
+    their bits too."""
     with_skip = trained_bits(method, strategy, budget)
-    monkeypatch.setattr(optim, "_freeze_wholly_masked",
-                        lambda view, mask: contextlib.nullcontext())
+    monkeypatch.setattr(T, "frozen", lambda tensors: contextlib.nullcontext())
     without = trained_bits(method, strategy, budget)
     assert with_skip[:3] == without[:3]
+    assert with_skip[4] == without[4]
     assert with_skip[3] == (strategy != "dense")
 
 

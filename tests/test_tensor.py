@@ -1,5 +1,6 @@
 """Autodiff engine: forward oracles, gradient checks, graph mechanics."""
 
+import contextlib
 import weakref
 
 import numpy as np
@@ -532,6 +533,25 @@ def test_no_grad_suspends_recording():
     with T.no_grad():
         y = T.scale(x, 2.0)
     assert y.node is None and not y.requires_grad
+
+
+@pytest.mark.parametrize("ending", ["return", "raise"])
+def test_frozen_restores_only_the_flags_it_turned_off(ending):
+    """Inside the block no listed tensor requires grad; afterwards each
+    one it froze requires grad again, on return and on raise, and one that
+    was frozen already stays frozen."""
+    live = [T.Tensor(np.ones(3), requires_grad=True) for _ in range(2)]
+    already = T.Tensor(np.ones(3))
+    listed = [live[0], already, live[1]]
+    with pytest.raises(RuntimeError) if ending == "raise" \
+            else contextlib.nullcontext():
+        with T.frozen(listed):
+            inside = [t.requires_grad for t in listed]
+            assert T.scale(live[0], 2.0).node is None
+            if ending == "raise":
+                raise RuntimeError("block failed")
+    assert inside == [False, False, False]
+    assert [t.requires_grad for t in listed] == [True, False, True]
 
 
 def test_constant_inputs_stay_off_tape():
