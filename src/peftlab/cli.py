@@ -250,6 +250,11 @@ def _sparkline(values) -> str:
                    if math.isfinite(v) else "!" for v in values)
 
 
+def _loss(stored) -> float:
+    """A loss as report.json stores it: null is a non-finite loss."""
+    return math.nan if stored is None else stored
+
+
 def _cmd_report(args) -> int:
     docs = []
     for path in args.paths:
@@ -263,9 +268,10 @@ def _cmd_report(args) -> int:
     rows = []
     for path, doc in docs:
         try:
-            curve = [r["eval_loss"] for r in doc["records"]]
+            curve = [_loss(r["eval_loss"]) for r in doc["records"]]
             rows.append(f"{doc['strategy']}\t{doc['seed']}\t{doc['k']}\t"
-                        f"{doc['ratio2']:.6f}\t{doc['final_eval_loss']:.4f}\t"
+                        f"{doc['ratio2']:.6f}\t"
+                        f"{_loss(doc['final_eval_loss']):.4f}\t"
                         f"{doc['final_eval_accuracy']:.4f}\t"
                         f"{_sparkline(curve)}")
         except (KeyError, TypeError, ValueError) as e:

@@ -60,28 +60,34 @@ def _make_task(cfg: ExperimentConfig):
                          eval_size=cfg.task.eval_size)
 
 
+def _strict(doc):
+    """``doc`` with each NaN or infinity (a diverged run's loss) made None:
+    strict JSON has neither."""
+    return json.loads(json.dumps(doc), parse_constant=lambda name: None)
+
+
 def report_to_dict(report: TrainReport, k: int, theta_len: int) -> dict:
     """report.json: the report's fields, the mask's popcount, the flat-view
-    length and the final eval numbers."""
-    return {**dataclasses.asdict(report), "k": k, "theta_len": theta_len,
-            "final_eval_loss": report.final_eval_loss,
-            "final_eval_accuracy": report.final_eval_accuracy}
+    length and the final eval numbers; a non-finite float is None."""
+    return _strict({**dataclasses.asdict(report), "k": k,
+                    "theta_len": theta_len,
+                    "final_eval_loss": report.final_eval_loss,
+                    "final_eval_accuracy": report.final_eval_accuracy})
 
 
 def metrics_lines(report: TrainReport) -> str:
-    """One JSON object per line; train lines carry no accuracy."""
+    """One JSON object per line; train lines carry no accuracy, and a
+    non-finite float is null."""
     run = {"ratio1": report.ratio1, "ratio2": report.ratio2,
            "strategy": report.strategy, "seed": report.seed}
     lines = []
     for r in report.records:
         if r.train_loss is not None:
-            lines.append(json.dumps({"epoch": r.epoch, "split": "train",
-                                     "loss": r.train_loss, "accuracy": None,
-                                     **run}))
-        lines.append(json.dumps({"epoch": r.epoch, "split": "eval",
-                                 "loss": r.eval_loss,
-                                 "accuracy": r.eval_accuracy, **run}))
-    return "\n".join(lines) + "\n"
+            lines.append({"epoch": r.epoch, "split": "train",
+                          "loss": r.train_loss, "accuracy": None, **run})
+        lines.append({"epoch": r.epoch, "split": "eval", "loss": r.eval_loss,
+                      "accuracy": r.eval_accuracy, **run})
+    return "\n".join(json.dumps(line) for line in _strict(lines)) + "\n"
 
 
 def _setup(cfg: ExperimentConfig, score: bool):

@@ -18,9 +18,8 @@ its output and every op passes it on to its output, so the forward pass
 records which tensors carry examples. ``backward(loss, per_example=leaves)``
 uses the record to return each leaf's gradient per example; see there.
 Per-example code lives only where an input without the example axis meets
-an output with it: in ``_sum_to`` and in ``_matmul_cotangents``, the
-pullback of a product that ``matmul`` and ``linear`` share. Other pullbacks
-have none.
+an output with it: in ``_sum_to`` and in ``_product``, the product that
+``matmul`` and ``linear`` share. Other pullbacks have none.
 
 Importing this module sets glibc's heap policy for the whole process (see
 ``_keep_freed_memory_mapped``). ``backward`` frees the tape as it goes, so
@@ -410,31 +409,39 @@ def _backward_per_example(loss: Tensor, leaves: tuple[Tensor, ...]) -> list:
 # primitives
 
 
-def _matmul_cotangents(g64: np.ndarray, a: Tensor, a64: np.ndarray | None,
-                       need_a: bool, b: Tensor, b64: np.ndarray | None,
-                       need_b: bool) -> tuple:
-    """The cotangents ``g bᵀ`` and ``aᵀ g`` of a product ``a @ b`` whose
-    output cotangent is ``g64`` (float64), ``None`` for an operand that is
-    not needed. ``a64`` and ``b64`` are the float64 operand copies the
-    forward pass held, or None: an operand not held is cast from ``.data``
-    here.
+def _product(a: Tensor, b: Tensor, a64: np.ndarray | None = None):
+    """``a @ b`` in float64, rounded to float32, and its pullback
+    ``pull(g64, need_a)``: from the float64 output cotangent, ``g bᵀ`` if
+    ``need_a`` and ``aᵀ g`` if ``b`` requires grad when it runs, else None.
 
-    The per-example boundary of a product: when ``a``'s rows are the
-    examples (2-D, with the example axis) and ``b`` has none, ``b`` gets
-    one outer product per example instead of their sum.
+    Each operand is cast once (``a64`` is the caller's cast of ``a``, shared
+    between products). A copy is held only for the cotangent that uses it,
+    as the flags stand now; one not held is recast from ``.data``. The
+    per-example boundary of a product: when ``a``'s rows are the examples
+    (2-D, with the example axis) and ``b`` has none, ``b`` gets one outer
+    product per example instead of their sum.
     """
-    ga = gb = None
-    if need_a:
-        bt = b64 if b64 is not None else b.data.astype(np.float64)
-        ga = _sum_to(np.matmul(g64, np.swapaxes(bt, -1, -2)), a)
-    if need_b:
-        at = a64 if a64 is not None else a.data.astype(np.float64)
-        if _per_example and a.ndim == 2 and a.example_axis \
-                and not b.example_axis:
-            gb = _sum_to(at[:, :, None] * g64[:, None, :], b)
-        else:
-            gb = _sum_to(np.matmul(np.swapaxes(at, -1, -2), g64), b)
-    return ga, gb
+    a64 = a.data.astype(np.float64) if a64 is None else a64
+    b64 = b.data.astype(np.float64)
+    out = np.matmul(a64, b64).astype(np.float32)
+    held_a = a64 if b.requires_grad else None
+    held_b = b64 if a.requires_grad else None
+
+    def pull(g64: np.ndarray, need_a: bool) -> tuple:
+        ga = gb = None
+        if need_a:
+            bt = held_b if held_b is not None else b.data.astype(np.float64)
+            ga = _sum_to(np.matmul(g64, np.swapaxes(bt, -1, -2)), a)
+        if b.requires_grad:
+            at = held_a if held_a is not None else a.data.astype(np.float64)
+            if _per_example and a.ndim == 2 and a.example_axis \
+                    and not b.example_axis:
+                gb = _sum_to(at[:, :, None] * g64[:, None, :], b)
+            else:
+                gb = _sum_to(np.matmul(np.swapaxes(at, -1, -2), g64), b)
+        return ga, gb
+
+    return out, pull
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -443,18 +450,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs matrices, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    a64 = a.data.astype(np.float64)
-    b64 = b.data.astype(np.float64)
-    out = np.matmul(a64, b64).astype(np.float32)
-    # each float64 operand copy is held only for the cotangent that uses it
-    held_a = a64 if b.requires_grad else None
-    held_b = b64 if a.requires_grad else None
-
-    def pull(g: np.ndarray):
-        return _matmul_cotangents(g.astype(np.float64), a, held_a,
-                                  a.requires_grad, b, held_b, b.requires_grad)
-
-    return _record("matmul", out, (a, b), pull)
+    out, pull = _product(a, b)
+    return _record("matmul", out, (a, b),
+                   lambda g: pull(g.astype(np.float64), a.requires_grad))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor, B: Tensor | None = None,
@@ -466,8 +464,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor, B: Tensor | None = None,
     ``add(add(matmul(x, w), b), scale(matmul(matmul(x, B), A), scale))``
     (no ``scale`` at 1.0): the same float64 products, rounded to float32 at
     the same points and added in the same order, so the result is bitwise
-    that of the chain. ``x`` is cast to float64 once, and each float64 copy
-    is held only for a cotangent that uses it.
+    that of the chain. Each product is a ``_product``, all on one float64
+    cast of ``x``, and the pullback composes theirs.
 
     With the pair, the node's inputs are ``(x, w, b, x, B, A)``: ``x``
     takes the ``w`` product's cotangent in the first slot and the low-rank
@@ -489,31 +487,22 @@ def linear(x: Tensor, w: Tensor, b: Tensor, B: Tensor | None = None,
             raise ShapeError(f"linear low-rank pair {B.shape} @ {A.shape} "
                              f"does not fit w {w.shape}")
     x64 = x.data.astype(np.float64)
-    w64 = w.data.astype(np.float64)
-    out = np.matmul(x64, w64).astype(np.float32)
+    out, pull_w = _product(x, w, x64)
     out += b.data
-    held_x = x64 if w.requires_grad or (low_rank and B.requires_grad) else None
-    held_w = w64 if x.requires_grad else None
     if low_rank:
         s32 = np.float32(scale)
-        B64 = B.data.astype(np.float64)
-        A64 = A.data.astype(np.float64)
-        # x @ B, never on the tape: the pullback reads its shape and axis
-        u = Tensor(np.matmul(x64, B64).astype(np.float32))
+        xB, pull_B = _product(x, B, x64)
+        # x @ B, off the tape: flagged as x or B is, so A's copy is held for it
+        u = Tensor(xB, requires_grad=x.requires_grad or B.requires_grad)
         u.example_axis = x.example_axis
-        u64 = u.data.astype(np.float64)
-        v = np.matmul(u64, A64).astype(np.float32)
+        v, pull_A = _product(u, A)
         if scale != 1.0:
             v *= s32
         out += v
-        held_B = B64 if x.requires_grad else None
-        held_A = A64 if x.requires_grad or B.requires_grad else None
-        held_u = u64 if A.requires_grad else None
 
     def pull(g: np.ndarray):
         g64 = g.astype(np.float64)
-        gx, gw = _matmul_cotangents(g64, x, held_x, x.requires_grad,
-                                    w, held_w, w.requires_grad)
+        gx, gw = pull_w(g64, x.requires_grad)
         gb = _sum_to(g, b) if b.requires_grad else None
         if not low_rank:
             return gx, gw, gb
@@ -521,12 +510,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor, B: Tensor | None = None,
         need_u = x.requires_grad or B.requires_grad
         if need_u or A.requires_grad:
             gv64 = (g * s32).astype(np.float64) if scale != 1.0 else g64
-            gu, gA = _matmul_cotangents(gv64, u, held_u, need_u,
-                                        A, held_A, A.requires_grad)
+            gu, gA = pull_A(gv64, need_u)
             if gu is not None:
-                gxB, gB = _matmul_cotangents(gu.astype(np.float64), x, held_x,
-                                             x.requires_grad, B, held_B,
-                                             B.requires_grad)
+                gxB, gB = pull_B(gu.astype(np.float64), x.requires_grad)
         return gx, gw, gb, gxB, gB, gA
 
     inputs = (x, w, b, x, B, A) if low_rank else (x, w, b)

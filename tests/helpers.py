@@ -1,13 +1,14 @@
 """Shared test utilities: central-difference gradients and gradient checking,
 the op chain ``tensor.linear`` fuses, the batch-1 loss that sequential
-oracles are built from, and a fresh interpreter for checks that this
-process's state would spoil."""
+oracles are built from, the arrays a pullback holds, and a fresh interpreter
+for checks that this process's state would spoil."""
 
 from __future__ import annotations
 
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +103,27 @@ def linear_chain(x, w, b, B=None, A=None, scale=1.0):
         return out
     delta = T.matmul(T.matmul(x, B), A)
     return T.add(out, T.scale(delta, scale) if scale != 1.0 else delta)
+
+
+def held_arrays(fn) -> list[np.ndarray]:
+    """Every array ``fn``'s closure holds, and the closures of the functions
+    it holds in turn: what a tape node's pullback keeps alive."""
+    found, todo, seen = [], [fn], set()
+    while todo:
+        f = todo.pop()
+        if id(f) in seen:
+            continue
+        seen.add(id(f))
+        for cell in f.__closure__ or ():
+            try:
+                v = cell.cell_contents
+            except ValueError:  # a variable the enclosing call never bound
+                continue
+            if isinstance(v, np.ndarray):
+                found.append(v)
+            elif isinstance(v, types.FunctionType):
+                todo.append(v)
+    return found
 
 
 def example_nll(model, row, label):

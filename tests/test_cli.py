@@ -319,6 +319,28 @@ def test_report_renders_a_diverged_run(tmp_path, capsys):
     assert row[-1] == " !"  # epoch 0 at the bottom, then the NaN
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_diverged_run_writes_strict_json(tmp_path, capsys):
+    path = tmp_path / "huge_lr.json"
+    path.write_text(json.dumps({"task": {"size": 32},
+                                "mask": {"strategy": "dense"},
+                                "train": {"epochs": 3, "lr": 1e37}}))
+    run = tmp_path / "run"
+    assert cli(["train", "--config", str(path), "--out", str(run)]) == 0
+    assert "diverged=True" in capsys.readouterr().out
+    doc = json.loads((run / "report.json").read_text(),
+                     parse_constant=_reject_constant)
+    assert doc["final_eval_loss"] is None
+    assert doc["records"][-1]["eval_loss"] is None
+    lines = [json.loads(line, parse_constant=_reject_constant)
+             for line in (run / "metrics.jsonl").read_text().splitlines()]
+    assert lines[-1]["loss"] is None
+
+
 def test_report_missing_path_is_validation_error(tmp_path):
     assert cli(["report", str(tmp_path / "none")]) == 1
 

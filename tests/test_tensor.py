@@ -9,7 +9,7 @@ import pytest
 from peftlab import tensor as T
 from peftlab.errors import ContractError, GraphError, NumericError, ShapeError
 
-from helpers import (check_grads, finite_diff_grad, grad_close,
+from helpers import (check_grads, finite_diff_grad, grad_close, held_arrays,
                      linear_chain, random_inputs, scalar_sum)
 
 N_SEEDS = 20
@@ -217,9 +217,8 @@ def test_matmul_holds_no_copy_of_an_operand_no_cotangent_uses():
     a = T.Tensor(rng.normal(size=(32, 4, 16)), requires_grad=True)
     b = T.Tensor(rng.normal(size=(16, 8)))  # frozen, as W0 is
     out = T.matmul(a, b)
-    held = [c.cell_contents for c in out.node.pullback.__closure__]
-    assert not any(isinstance(v, np.ndarray) and v.dtype == np.float64
-                   and v.size == a.size for v in held)
+    assert not any(v.dtype == np.float64 and v.size == a.size
+                   for v in held_arrays(out.node.pullback))
 
     g = rng.uniform(-1, 1, out.shape).astype(np.float32)
     ga, gb = out.node.pullback(g)
@@ -294,32 +293,31 @@ def test_linear_holds_no_copy_of_an_operand_no_cotangent_uses():
     x = T.Tensor(rng.normal(size=(32, 4, 16)), requires_grad=True)
     w = T.Tensor(rng.normal(size=(16, 8)))  # frozen, as W0 is
     b = T.Tensor(rng.normal(size=8))
-    B = T.Tensor(rng.normal(size=(16, 2)))  # a frozen, live down-projection
-    A = T.Tensor(rng.normal(size=(2, 8)), requires_grad=True)
+    B = T.Tensor(rng.normal(size=(16, 2)))  # frozen, live factors
+    A = T.Tensor(rng.normal(size=(2, 8)))
     for pair in ((), (B, A)):
         out = T.linear(x, w, b, *pair, scale=0.5)
-        held = []
-        for cell in out.node.pullback.__closure__:
-            try:
-                held.append(cell.cell_contents)
-            except ValueError:  # set only when the pair is given
-                pass
-        assert not any(isinstance(v, np.ndarray) and v.dtype == np.float64
-                       and v.size == x.size for v in held)
+        # neither x nor x @ B: only the frozen factors' cotangents use them
+        xB_size = x.size // x.shape[-1] * B.shape[-1]
+        assert not any(v.dtype == np.float64 and v.size in (x.size, xB_size)
+                       for v in held_arrays(out.node.pullback))
 
         g = rng.uniform(-1, 1, out.shape).astype(np.float32)
-        got = out.node.pullback(g)
         leaves = [T.Tensor(t.data, requires_grad=True) for t in (x, w, b) + pair]
         want = T.linear(*leaves, scale=0.5).node.pullback(g)
-        for i, t in enumerate(out.node.inputs):
-            if t.requires_grad:
-                assert got[i].tobytes() == want[i].tobytes(), i
-            else:
-                assert got[i] is None, i
-        # w starts requiring grad after the forward: x is recast from .data
-        w.requires_grad = True
-        assert out.node.pullback(g)[1].tobytes() == want[1].tobytes()
-        w.requires_grad = False
+        # each factor starts requiring grad after the forward: the operand
+        # its cotangent uses (x, or x @ B for A) is recast from .data
+        for late in (None, w) + pair:
+            if late is not None:
+                late.requires_grad = True
+            got = out.node.pullback(g)
+            for i, t in enumerate(out.node.inputs):
+                if t.requires_grad:
+                    assert got[i].tobytes() == want[i].tobytes(), (late, i)
+                else:
+                    assert got[i] is None, (late, i)
+            if late is not None:
+                late.requires_grad = False
 
 
 def _marked(rows):
